@@ -187,6 +187,33 @@ void BM_CapacitanceLut(benchmark::State& state) {
 }
 BENCHMARK(BM_CapacitanceLut);
 
+// Admission costs: what every admit() and every checkpoint readmission
+// constructs before its first frame. One item = one construction, so the
+// trajectory's ns_per_item is the build time.
+void BM_SensorArrayBuild(benchmark::State& state) {
+  // The paper's 2x2 die: one set of shared C(p) knots (241 exact
+  // quadratures) and one mismatch-scaled spline per element.
+  const core::ChipConfig chip = core::ChipConfig::paper_chip();
+  for (auto _ : state) {
+    core::SensorArray arr{chip};
+    benchmark::DoNotOptimize(arr.reference_capacitance());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SensorArrayBuild)->Unit(benchmark::kMillisecond);
+
+void BM_PatientSessionBuild(benchmark::State& state) {
+  // A whole session before admit(): acquisition pipeline (array, modulator,
+  // decimation chain), physiology, streaming monitor and rings.
+  const fleet::SessionConfig config;
+  for (auto _ : state) {
+    fleet::PatientSession session{0, config};
+    benchmark::DoNotOptimize(session.frames_produced());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PatientSessionBuild)->Unit(benchmark::kMillisecond);
+
 void BM_FullPipelineClock(benchmark::State& state) {
   core::AcquisitionPipeline pipe{core::ChipConfig::paper_chip()};
   double t = 0.0;

@@ -10,27 +10,32 @@ namespace {
 
 constexpr std::size_t kLutPoints = 241;
 
-CubicSpline build_lut(const mems::PressureTransducer& transducer, double lo_pa,
-                      double hi_pa) {
-  std::vector<double> ps(kLutPoints);
-  std::vector<double> cs(kLutPoints);
+CapacitanceKnots sample_knots(const mems::PressureTransducer& transducer, double lo_pa,
+                              double hi_pa) {
+  CapacitanceKnots knots{std::vector<double>(kLutPoints), std::vector<double>(kLutPoints)};
   for (std::size_t i = 0; i < kLutPoints; ++i) {
     const double p =
         lo_pa + (hi_pa - lo_pa) * static_cast<double>(i) / (kLutPoints - 1);
-    ps[i] = p;
-    cs[i] = transducer.capacitance(p);
+    knots.pressure_pa[i] = p;
+    knots.membrane_capacitance_f[i] = transducer.membrane_capacitance(p);
   }
-  return CubicSpline{ps, cs};
+  return knots;
+}
+
+CubicSpline build_lut(const mems::PressureTransducer& transducer,
+                      const CapacitanceKnots& knots) {
+  std::vector<double> cs(knots.membrane_capacitance_f.size());
+  for (std::size_t i = 0; i < cs.size(); ++i) {
+    cs[i] = transducer.scaled_capacitance(knots.membrane_capacitance_f[i]);
+  }
+  return CubicSpline{knots.pressure_pa, cs};
 }
 
 }  // namespace
 
 ArrayElement::ArrayElement(const mems::TransducerConfig& config, ElementPosition position,
-                           double pressure_min_pa, double pressure_max_pa,
-                           ElementFault fault)
-    : transducer_(config),
-      position_(position),
-      lut_(build_lut(transducer_, pressure_min_pa, pressure_max_pa)) {
+                           const CapacitanceKnots& knots, ElementFault fault)
+    : transducer_(config), position_(position), lut_(build_lut(transducer_, knots)) {
   set_fault(fault);
 }
 
@@ -71,6 +76,12 @@ SensorArray::SensorArray(const ChipConfig& config, double lut_min_pa, double lut
   if (rows_ == 0 || cols_ == 0) throw std::invalid_argument{"SensorArray: empty array"};
   if (lut_min_pa >= lut_max_pa) throw std::invalid_argument{"SensorArray: bad LUT range"};
 
+  // Reference structure and knot source: nominal mismatch, which the
+  // knots do not depend on.
+  const mems::PressureTransducer nominal{config.transducer};
+  c_ref_ = nominal.reference_capacitance();
+  const CapacitanceKnots knots = sample_knots(nominal, lut_min_pa, lut_max_pa);
+
   Rng rng = Rng{config.seed}.fork_named("array-mismatch");
   const double pitch = config.array.pitch_m;
   const double x0 = -0.5 * pitch * static_cast<double>(cols_ - 1);
@@ -89,11 +100,9 @@ SensorArray::SensorArray(const ChipConfig& config, double lut_min_pa, double lut
       for (const auto& spec : config.faults) {
         if (spec.row == r && spec.col == c) fault = spec.fault;
       }
-      elements_.emplace_back(tc, pos, lut_min_pa, lut_max_pa, fault);
+      elements_.emplace_back(tc, pos, knots, fault);
     }
   }
-  // Reference structure: unreleased membrane, nominal mismatch.
-  c_ref_ = mems::PressureTransducer{config.transducer}.reference_capacitance();
 }
 
 const ArrayElement& SensorArray::element(std::size_t row, std::size_t col) const {

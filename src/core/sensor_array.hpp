@@ -2,11 +2,15 @@
 // fast capacitance lookup per element.
 //
 // The full Simpson-quadrature capacitance integral is too slow to evaluate
-// once per 128 kHz modulator clock, so each element precomputes a cubic-
-// spline C(p) table over the operating pressure range at construction
-// (modelling error < 0.01 % of the capacitance swing, verified in tests).
-// Elements carry individual mismatch, mirroring a fabricated die; positions
-// follow the 150 µm pitch so the bio lateral-sensitivity model can attach.
+// once per 128 kHz modulator clock, so each element interpolates a cubic-
+// spline C(p) table over the operating pressure range (modelling error
+// < 0.01 % of the capacitance swing, verified in tests). The membranes are
+// identical up to a multiplicative fabrication mismatch, so the array runs
+// the quadrature once for all elements (CapacitanceKnots) and each element
+// scales those knots by its own mismatch before fitting its spline; the
+// result is bit-identical to sampling the element's own transducer.
+// Positions follow the 150 µm pitch so the bio lateral-sensitivity model
+// can attach.
 #pragma once
 
 #include <cstddef>
@@ -29,12 +33,22 @@ struct ElementPosition {
   double y_m{0.0};
 };
 
+/// Mismatch-free C(p) samples shared by the elements of one array: the
+/// bare capacitor's value (PressureTransducer::membrane_capacitance) at each
+/// LUT pressure.
+struct CapacitanceKnots {
+  std::vector<double> pressure_pa;
+  std::vector<double> membrane_capacitance_f;
+};
+
 /// One array element: transducer physics + fast C(p) evaluation.
 class ArrayElement {
  public:
+  /// `knots` must come from a transducer with this element's stack,
+  /// capacitor geometry and backpressure (mismatch may differ); the LUT is
+  /// the knots scaled by this element's mismatch at 300 K.
   ArrayElement(const mems::TransducerConfig& config, ElementPosition position,
-               double pressure_min_pa, double pressure_max_pa,
-               ElementFault fault = ElementFault::kNone);
+               const CapacitanceKnots& knots, ElementFault fault = ElementFault::kNone);
 
   /// Fast capacitance lookup [F] for a contact pressure [Pa]. The LUT is
   /// built at 300 K; the (small, linear) temperature coefficient is applied

@@ -61,13 +61,27 @@ void StreamingMonitor::serialize(CheckpointWriter& out) const {
 
 void StreamingMonitor::restore(CheckpointReader& in) {
   in.section("streaming_monitor");
+  // push() holds the buffer in one of two shapes. Before the first full
+  // window it counts every sample as "since hop" (buffer == since_hop <
+  // window). From then on it compacts to the window once per hop, so between
+  // hops the buffer is the window plus the samples of the hop in progress
+  // (buffer == window + since_hop, since_hop < hop). Anything else was not
+  // written by this configuration. (A hop shorter than one sample processes
+  // every sample, like a one-sample hop.)
+  const std::size_t hop = std::max<std::size_t>(hop_samples_, 1);
   const std::size_t buffered = in.size();
-  if (buffered > window_samples_) {
+  if (buffered > window_samples_ + hop - 1) {
     throw CheckpointError{"streaming monitor checkpoint window overflows config"};
   }
   buffer_.resize(buffered);
   for (auto& v : buffer_) v = in.f64();
   since_hop_ = in.size();
+  const bool filling = buffered < window_samples_ && since_hop_ == buffered;
+  const bool hopping =
+      since_hop_ < hop && buffered == window_samples_ + since_hop_;
+  if (!filling && !hopping) {
+    throw CheckpointError{"streaming monitor checkpoint hop position inconsistent"};
+  }
   time_s_ = in.f64();
   buffer_start_s_ = in.f64();
   last_emitted_beat_s_ = in.f64();

@@ -46,11 +46,11 @@ std::vector<double> design_second_stage(const DecimationConfig& c) {
 DecimationChain::DecimationChain(const DecimationConfig& config)
     : config_(validated(config)),
       cic_(config_.cic_order, config_.cic_decimation, /*input_bits=*/2),
-      fir_(quantize_coefficients(design_second_stage(config_), config_.fir_coeff_frac_bits),
+      fir_coeffs_(design_second_stage(config_)),
+      fir_(quantize_coefficients(fir_coeffs_, config_.fir_coeff_frac_bits),
            config_.fir_coeff_frac_bits,
            config_.output_bits + kFirGuardBits,
            config_.total_decimation / config_.cic_decimation),
-      fir_coeffs_(design_second_stage(config_)),
       fir_input_bits_(config_.output_bits + kFirGuardBits),
       cic_scratch_(config_.total_decimation / config_.cic_decimation) {
   // Map the raw CIC output (full scale = ±gain for a ±1 bitstream) onto the

@@ -101,8 +101,8 @@ class DecimationChain {
 
   DecimationConfig config_;
   CicDecimator cic_;
+  std::vector<double> fir_coeffs_;  ///< designed once; fir_ quantizes it
   FixedPointFir fir_;
-  std::vector<double> fir_coeffs_;
   double cic_scale_;  ///< maps raw CIC output to FIR input word
   int fir_input_bits_;
   /// Per-frame CIC output scratch for push_frame (total/cic values), kept as

@@ -25,19 +25,29 @@ MembraneCapacitor::MembraneCapacitor(SquarePlate plate, CapacitorGeometry geomet
   }
   if (quad_n_ < 4) quad_n_ = 4;
   if (quad_n_ % 2 != 0) ++quad_n_;  // Simpson needs an even interval count
+
+  // The electrode's Simpson nodes, shared by both axes.
+  const double a = plate_.geometry().side_length_m;
+  const double cov = geometry_.electrode_coverage;
+  const double lo = 0.5 * a * (1.0 - cov);
+  const double hi = 0.5 * a * (1.0 + cov);
+  node_step_m_ = (hi - lo) / static_cast<double>(quad_n_);
+  node_mode_.resize(quad_n_ + 1);
+  node_on_plate_.resize(quad_n_ + 1);
+  for (std::size_t i = 0; i <= quad_n_; ++i) {
+    const double x = lo + node_step_m_ * static_cast<double>(i);
+    node_mode_[i] = plate_.mode_factor(x);
+    node_on_plate_[i] = x < 0.0 || x > a ? 0 : 1;
+  }
 }
 
 double MembraneCapacitor::capacitance_at_deflection(double w0_m) const noexcept {
-  const double a = plate_.geometry().side_length_m;
   const double g0 = geometry_.gap_m;
   // Clamp so the integrand stays finite past touch-down.
   const double w0 = std::clamp(w0_m, -kTouchdownFraction * g0, kTouchdownFraction * g0);
 
-  const double cov = geometry_.electrode_coverage;
-  const double lo = 0.5 * a * (1.0 - cov);
-  const double hi = 0.5 * a * (1.0 + cov);
   const std::size_t n = quad_n_;
-  const double h = (hi - lo) / static_cast<double>(n);
+  const double h = node_step_m_;
 
   // Simpson weights 1,4,2,...,4,1 in each dimension.
   auto weight = [n](std::size_t i) -> double {
@@ -49,12 +59,16 @@ double MembraneCapacitor::capacitance_at_deflection(double w0_m) const noexcept 
   // under backpressure) *increases* the gap; pressure applied from the top
   // produces negative w here. capacitance_at_pressure() flips the sign so
   // that positive applied pressure shrinks the gap.
+  //
+  // The deflection is SquarePlate::deflection_at's 0.25 · w₀ · f(x) · f(y),
+  // multiplied in the same left-to-right order (so hoisting the row factor
+  // changes no bit), and 0 off the plate as there.
   double sum = 0.0;
   for (std::size_t i = 0; i <= n; ++i) {
-    const double x = lo + h * static_cast<double>(i);
+    const double row = 0.25 * w0 * node_mode_[i];
     for (std::size_t j = 0; j <= n; ++j) {
-      const double y = lo + h * static_cast<double>(j);
-      double gap = g0 + plate_.deflection_at(x, y, w0);
+      const double w = node_on_plate_[i] && node_on_plate_[j] ? row * node_mode_[j] : 0.0;
+      double gap = g0 + w;
       gap = std::max(gap, (1.0 - kTouchdownFraction) * g0);
       sum += weight(i) * weight(j) / gap;
     }

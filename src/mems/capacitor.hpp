@@ -4,10 +4,15 @@
 // against the fixed polysilicon bottom electrode across the gap opened by the
 // sacrificial removal of metal 1. Capacitance is the surface integral of
 // ε₀ / (g₀ − w(x, y)) over the electrode, evaluated with 2-D Simpson
-// quadrature on the clamped-plate mode shape.
+// quadrature on the clamped-plate mode shape. The mode shape separates into
+// one factor per axis and the x and y grids are the same grid, so the
+// capacitor tabulates that factor once per Simpson node at construction;
+// an evaluation is then cos-free and rounds exactly as
+// SquarePlate::deflection_at would at every node.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "src/mems/plate.hpp"
 
@@ -63,6 +68,9 @@ class MembraneCapacitor {
   SquarePlate plate_;
   CapacitorGeometry geometry_;
   std::size_t quad_n_;
+  double node_step_m_;                // Simpson node spacing h
+  std::vector<double> node_mode_;     // plate_.mode_factor at each node
+  std::vector<char> node_on_plate_;   // node coordinate inside [0, a]
 };
 
 }  // namespace tono::mems

@@ -62,10 +62,12 @@ double SquarePlate::center_deflection(double pressure_pa) const noexcept {
 double SquarePlate::deflection_at(double x_m, double y_m, double w0_m) const noexcept {
   const double a = geometry_.side_length_m;
   if (x_m < 0.0 || x_m > a || y_m < 0.0 || y_m > a) return 0.0;
+  return 0.25 * w0_m * mode_factor(x_m) * mode_factor(y_m);
+}
+
+double SquarePlate::mode_factor(double coord_m) const noexcept {
   const double two_pi = 2.0 * std::numbers::pi;
-  const double fx = 1.0 - std::cos(two_pi * x_m / a);
-  const double fy = 1.0 - std::cos(two_pi * y_m / a);
-  return 0.25 * w0_m * fx * fy;
+  return 1.0 - std::cos(two_pi * coord_m / geometry_.side_length_m);
 }
 
 double SquarePlate::compliance_at(double bias_pressure_pa) const noexcept {

@@ -48,6 +48,10 @@ class SquarePlate {
   /// w = w₀/4 · (1 − cos 2πx/a)(1 − cos 2πy/a).
   [[nodiscard]] double deflection_at(double x_m, double y_m, double w0_m) const noexcept;
 
+  /// One axis of that mode shape, 1 − cos 2πx/a, at a coordinate in [0, a]:
+  /// deflection_at(x, y, w₀) = 0.25 · w₀ · mode_factor(x) · mode_factor(y).
+  [[nodiscard]] double mode_factor(double coord_m) const noexcept;
+
   /// Mean deflection over the plate for center deflection w₀ (= w₀/4 for
   /// the mode shape above).
   [[nodiscard]] double mean_deflection(double w0_m) const noexcept { return 0.25 * w0_m; }

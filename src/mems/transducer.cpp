@@ -12,11 +12,19 @@ PressureTransducer::PressureTransducer(const TransducerConfig& config)
 
 double PressureTransducer::capacitance(double contact_pressure_pa,
                                        double temperature_k) const noexcept {
+  return scaled_capacitance(membrane_capacitance(contact_pressure_pa), temperature_k);
+}
+
+double PressureTransducer::membrane_capacitance(double contact_pressure_pa) const noexcept {
   const double net = contact_pressure_pa - config_.backpressure_pa;
-  const double c = cap_.capacitance_at_pressure(net);
+  return cap_.capacitance_at_pressure(net);
+}
+
+double PressureTransducer::scaled_capacitance(double membrane_capacitance_f,
+                                              double temperature_k) const noexcept {
   const double drift =
       1.0 + config_.capacitance_tempco_per_k * (temperature_k - 300.0);
-  return c * config_.capacitance_mismatch * drift;
+  return membrane_capacitance_f * config_.capacitance_mismatch * drift;
 }
 
 double PressureTransducer::bias_capacitance() const noexcept { return capacitance(0.0); }

@@ -39,6 +39,15 @@ class PressureTransducer {
   [[nodiscard]] double capacitance(double contact_pressure_pa,
                                    double temperature_k = 300.0) const noexcept;
 
+  /// The two factors of capacitance(): the bare capacitor's value under the
+  /// net membrane load, then this element's mismatch and temperature drift
+  /// applied to it. capacitance(p, T) ==
+  /// scaled_capacitance(membrane_capacitance(p), T) bit for bit, so elements
+  /// that share a stack and backpressure can share the (costly) first factor.
+  [[nodiscard]] double membrane_capacitance(double contact_pressure_pa) const noexcept;
+  [[nodiscard]] double scaled_capacitance(double membrane_capacitance_f,
+                                          double temperature_k = 300.0) const noexcept;
+
   /// Rest capacitance at the bias point (backpressure only, no contact).
   [[nodiscard]] double bias_capacitance() const noexcept;
 

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numbers>
 
 #include "src/common/units.hpp"
 
@@ -166,6 +170,81 @@ TEST_P(QuadratureTest, ConvergedCapacitance) {
 }
 
 INSTANTIATE_TEST_SUITE_P(GridSizes, QuadratureTest, ::testing::Values(16u, 24u, 32u, 48u));
+
+/// The capacitance integral written out directly: the clamped-plate mode
+/// shape evaluated with two cos calls at every Simpson node, in the order
+/// the capacitor must reproduce bit for bit.
+double reference_capacitance(const PlateGeometry& plate, const CapacitorGeometry& geom,
+                             std::size_t quadrature_points, double w0_m) {
+  constexpr double kTouchdown = 0.95;
+  const double a = plate.side_length_m;
+  const double g0 = geom.gap_m;
+  const double w0 = std::clamp(w0_m, -kTouchdown * g0, kTouchdown * g0);
+  std::size_t n = std::max<std::size_t>(quadrature_points, 4);
+  if (n % 2 != 0) ++n;
+  const double lo = 0.5 * a * (1.0 - geom.electrode_coverage);
+  const double hi = 0.5 * a * (1.0 + geom.electrode_coverage);
+  const double h = (hi - lo) / static_cast<double>(n);
+  auto weight = [n](std::size_t i) { return i == 0 || i == n ? 1.0 : i % 2 == 1 ? 4.0 : 2.0; };
+  auto deflection = [&](double x, double y) {
+    if (x < 0.0 || x > a || y < 0.0 || y > a) return 0.0;
+    const double two_pi = 2.0 * std::numbers::pi;
+    const double fx = 1.0 - std::cos(two_pi * x / a);
+    const double fy = 1.0 - std::cos(two_pi * y / a);
+    return 0.25 * w0 * fx * fy;
+  };
+  double sum = 0.0;
+  for (std::size_t i = 0; i <= n; ++i) {
+    const double x = lo + h * static_cast<double>(i);
+    for (std::size_t j = 0; j <= n; ++j) {
+      const double y = lo + h * static_cast<double>(j);
+      double gap = g0 + deflection(x, y);
+      gap = std::max(gap, (1.0 - kTouchdown) * g0);
+      sum += weight(i) * weight(j) / gap;
+    }
+  }
+  const double integral = sum * h * h / 9.0;
+  return units::epsilon0 * geom.gap_permittivity * integral + geom.parasitic_f;
+}
+
+void expect_bitwise_equal_to_reference(const CapacitorGeometry& geom,
+                                       std::size_t quadrature_points) {
+  const PlateGeometry plate{};
+  const MembraneCapacitor cap{SquarePlate{plate}, geom, quadrature_points};
+  // A dense sweep through both touch-down clamps (±0.95 g₀) and beyond.
+  const double g0 = geom.gap_m;
+  for (int k = -1200; k <= 1200; ++k) {
+    const double w0 = 1.2 * g0 * static_cast<double>(k) / 1200.0;
+    const double expected = reference_capacitance(plate, geom, quadrature_points, w0);
+    const double actual = cap.capacitance_at_deflection(w0);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(actual), std::bit_cast<std::uint64_t>(expected))
+        << "w0 = " << w0 << " m, coverage " << geom.electrode_coverage << ", "
+        << quadrature_points << " points";
+  }
+}
+
+TEST(MembraneCapacitor, TabulatedModeShapeIsBitIdenticalToDirectIntegral) {
+  expect_bitwise_equal_to_reference(CapacitorGeometry{}, 32);
+}
+
+TEST(MembraneCapacitor, FullCoverageIncludesPlateEdgeNodesBitIdentically) {
+  // Coverage 1.0 puts the last node at x = a (h·n may round past it, where
+  // the plate does not deflect).
+  CapacitorGeometry geom;
+  geom.electrode_coverage = 1.0;
+  expect_bitwise_equal_to_reference(geom, 32);
+  geom.gap_m = 0.37e-6;
+  geom.gap_permittivity = 3.9;
+  expect_bitwise_equal_to_reference(geom, 48);
+}
+
+TEST(MembraneCapacitor, OddAndTinyQuadratureCountsBumpBitIdentically) {
+  expect_bitwise_equal_to_reference(CapacitorGeometry{}, 33);  // → 34
+  expect_bitwise_equal_to_reference(CapacitorGeometry{}, 3);   // → 4
+  CapacitorGeometry geom;
+  geom.electrode_coverage = 0.55;
+  expect_bitwise_equal_to_reference(geom, 17);  // → 18
+}
 
 }  // namespace
 }  // namespace tono::mems

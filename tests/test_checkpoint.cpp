@@ -258,6 +258,40 @@ TEST(Checkpoint, SessionResumeIsBitIdenticalToUninterrupted) {
   expect_streams_equal(uninterrupted, resumed, "clean session");
 }
 
+TEST(Checkpoint, SessionResumeAfterFirstMonitorWindowIsBitIdentical) {
+  // At 9 s the streaming monitor has analysed its first 8 s window and
+  // holds that window plus part of the next hop; the resumed session must
+  // run through the following hops exactly as the uninterrupted one.
+  const SessionConfig config = seeded_config(2);
+
+  Stream uninterrupted;
+  {
+    PatientSession session{2, config};
+    run_to(session, 12.5, &uninterrupted);
+  }
+
+  Stream resumed;
+  std::vector<std::uint8_t> blob;
+  {
+    PatientSession first_half{2, config};
+    run_to(first_half, 9.0, &resumed);
+    blob = first_half.checkpoint();
+  }
+  {
+    PatientSession second_half{2, config};
+    ASSERT_NO_THROW(second_half.restore_checkpoint(blob));
+    EXPECT_EQ(second_half.checkpoint(), blob);
+    run_to(second_half, 12.5, &resumed);
+  }
+
+  bool beat_after_split = false;
+  for (const auto& e : uninterrupted.events) {
+    beat_after_split |= e.kind == fleet::FleetEventKind::kBeat && e.time_s > 9.0;
+  }
+  EXPECT_TRUE(beat_after_split) << "no beat published after the checkpoint";
+  expect_streams_equal(uninterrupted, resumed, "session resumed at 9 s");
+}
+
 TEST(Checkpoint, FaultySessionResumeIsBitIdenticalIncludingLinkPath) {
   // A generated plan with every fault kind: the checkpoint must carry the
   // fault cursor, throw budgets, contact/burst windows, the re-routed array

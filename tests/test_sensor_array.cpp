@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "src/common/units.hpp"
 
@@ -109,6 +112,71 @@ TEST(SensorArray, LargerArraySupported) {
   EXPECT_EQ(arr.size(), 32u);
   // Outermost columns symmetric about the center.
   EXPECT_NEAR(arr.element(0, 0).position().x_m, -arr.element(0, 7).position().x_m, 1e-12);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The element's table as if it sampled its own transducer: 241 knots of
+/// transducer().capacitance(p) over the default LUT range, splined, with the
+/// temperature drift applied on top.
+CubicSpline own_transducer_lut(const ArrayElement& e) {
+  constexpr std::size_t n = 241;
+  const double lo = -30e3;
+  const double hi = 60e3;
+  std::vector<double> ps(n);
+  std::vector<double> cs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ps[i] = lo + (hi - lo) * static_cast<double>(i) / (n - 1);
+    cs[i] = e.transducer().capacitance(ps[i]);
+  }
+  return CubicSpline{ps, cs};
+}
+
+double drift(const ArrayElement& e, double temperature_k) {
+  return 1.0 + e.transducer().config().capacitance_tempco_per_k * (temperature_k - 300.0);
+}
+
+void expect_lut_bit_identical(const SensorArray& arr, const char* what) {
+  for (std::size_t k = 0; k < arr.size(); ++k) {
+    const ArrayElement& e = arr.element(k);
+    const CubicSpline lut = own_transducer_lut(e);
+    for (double t_k : {300.0, 293.15, 310.4}) {
+      for (double p = -35e3; p <= 65e3; p += 377.0) {
+        const double expected = e.is_healthy() ? lut(p) * drift(e, t_k)
+                                : e.fault() == ElementFault::kNotReleased
+                                    ? e.transducer().reference_capacitance() * drift(e, t_k)
+                                    : e.transducer().capacitance(5e6) * drift(e, t_k);
+        ASSERT_EQ(bits(e.capacitance(p, t_k)), bits(expected))
+            << what << ": element " << k << ", p = " << p << " Pa, T = " << t_k << " K";
+      }
+    }
+  }
+}
+
+TEST(SensorArray, SharedKnotsAreBitIdenticalToPerElementTables) {
+  for (std::uint64_t seed : {2004ull, 1ull, 77ull, 0xC0FFEEull}) {
+    for (double backpressure : {0.0, 4e3, 11.5e3}) {
+      auto cfg = ChipConfig::paper_chip();
+      cfg.seed = seed;
+      cfg.transducer.backpressure_pa = backpressure;
+      expect_lut_bit_identical(SensorArray{cfg}, "clean die");
+    }
+  }
+}
+
+TEST(SensorArray, SharedKnotsStayBitIdenticalThroughFaults) {
+  auto cfg = ChipConfig::paper_chip();
+  cfg.seed = 31;
+  cfg.transducer.backpressure_pa = 6e3;
+  cfg.element_mismatch_sigma = 0.01;
+  cfg.faults.push_back({.row = 1, .col = 0, .fault = ElementFault::kNotReleased});
+  SensorArray arr{cfg};
+  expect_lut_bit_identical(arr, "yield fault");
+  arr.inject_fault(0, 1, ElementFault::kStuckDown);
+  expect_lut_bit_identical(arr, "injected fault");
+  arr.inject_fault(0, 1, ElementFault::kNone);
+  arr.inject_fault(1, 0, ElementFault::kNone);
+  expect_lut_bit_identical(arr, "healed");
 }
 
 TEST(SensorArray, RejectsBadConfig) {

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "src/bio/pulse_generator.hpp"
+#include "src/common/checkpoint.hpp"
 #include "src/common/metrics.hpp"
 #include "src/common/rng.hpp"
 #include "src/bio/scenario.hpp"
@@ -188,6 +190,137 @@ TEST(StreamingMonitor, RejectsBadConfig) {
   StreamingConfig bad4;
   bad4.limits.confirm_beats = 0;
   EXPECT_THROW((StreamingMonitor{bad4}), std::invalid_argument);
+}
+
+/// One published beat or alarm transition, stamped with the number of
+/// samples pushed when it fired.
+struct Published {
+  std::size_t sample{0};
+  int kind{-1};  ///< -1 = beat, else AlarmKind
+  double time_s{0.0};
+  double value_a{0.0};
+  double value_b{0.0};
+  bool operator==(const Published&) const = default;
+};
+
+/// A monitor that records what it publishes.
+struct RecordingMonitor {
+  StreamingMonitor mon;
+  std::size_t pushed{0};
+  std::vector<Published> out;
+
+  explicit RecordingMonitor(const StreamingConfig& config) : mon{config} {
+    mon.on_beat([this](const Beat& b) {
+      out.push_back({pushed, -1, b.upstroke_s, b.systolic_value, b.diastolic_value});
+    });
+    mon.on_alarm([this](const AlarmEvent& a) {
+      out.push_back({pushed, static_cast<int>(a.kind), a.time_s, a.value, a.active ? 1.0 : 0.0});
+    });
+  }
+  void push(double v) {
+    ++pushed;  // stamped before the push so a hop's output carries its sample count
+    mon.push(v);
+  }
+  std::vector<std::uint8_t> checkpoint() const {
+    CheckpointWriter w;
+    mon.serialize(w);
+    return w.finish(1);
+  }
+  void restore(const std::vector<std::uint8_t>& blob, std::size_t at_sample) {
+    CheckpointReader in{blob};
+    in.require_version(1);
+    mon.restore(in);
+    in.expect_end();
+    pushed = at_sample;
+  }
+};
+
+/// 12 s of a patient whose pressure falls through the systolic-low limit
+/// right after the first 8 s window, so alarms fire in the hops after it.
+std::vector<double> falling_pressure() {
+  bio::ArterialPulseGenerator gen{steady()};
+  const bio::ScenarioProfile fall{{
+      bio::ScenarioKeyframe{0.0, 120.0, 80.0, 72.0},
+      bio::ScenarioKeyframe{7.0, 120.0, 80.0, 72.0},
+      bio::ScenarioKeyframe{9.0, 78.0, 50.0, 96.0},
+      bio::ScenarioKeyframe{12.0, 78.0, 50.0, 96.0},
+  }};
+  std::vector<double> wave(12000);
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    if (i % 100 == 0) fall.apply(gen, static_cast<double>(i) / 1000.0);
+    wave[i] = gen.sample(0.001);
+  }
+  return wave;
+}
+
+TEST(StreamingMonitor, RestoreBetweenHopsAfterFirstWindowMatchesUninterrupted) {
+  // Past the first 8 s window the buffer holds the window plus the current
+  // hop's samples. A checkpoint at any sample from 8.0 s to 10.5 s must
+  // restore into a fresh monitor that re-serializes to the same bytes and
+  // reaches the uninterrupted monitor's state just before the next hop.
+  // A window analysis costs milliseconds, so every 50th split (and those
+  // next to a hop boundary) also runs on through two more hops and must
+  // publish exactly the beats and alarms the uninterrupted monitor did.
+  StreamingConfig config;
+  config.limits.confirm_beats = 2;
+  const std::vector<double> wave = falling_pressure();
+
+  RecordingMonitor uninterrupted{config};
+  std::vector<std::uint8_t> before_hop_10s;
+  std::vector<std::uint8_t> before_hop_12s;
+  for (double v : wave) {
+    uninterrupted.push(v);
+    if (uninterrupted.pushed == 9999) before_hop_10s = uninterrupted.checkpoint();
+    if (uninterrupted.pushed == 11999) before_hop_12s = uninterrupted.checkpoint();
+  }
+  const auto final_blob = uninterrupted.checkpoint();
+  bool alarm_after_split = false;
+  for (const auto& p : uninterrupted.out) alarm_after_split |= p.kind >= 0 && p.sample > 8000;
+  ASSERT_TRUE(alarm_after_split) << "the scenario must exercise alarms after the split";
+
+  RecordingMonitor leader{config};
+  for (std::size_t k = 0; k < 8000; ++k) leader.push(wave[k]);
+  for (std::size_t k = 8000; k <= 10500; ++k) {
+    const auto blob = leader.checkpoint();
+    RecordingMonitor twin{config};
+    ASSERT_NO_THROW(twin.restore(blob, k)) << "checkpoint after " << k << " samples";
+    ASSERT_EQ(twin.checkpoint(), blob) << "re-serialized state after " << k << " samples";
+    const std::size_t last_before_hop = k < 10000 ? 9999 : 11999;
+    while (twin.pushed < last_before_hop) twin.push(wave[twin.pushed]);
+    ASSERT_EQ(twin.checkpoint(), k < 10000 ? before_hop_10s : before_hop_12s)
+        << "state before the next hop after a split at " << k;
+
+    if (k % 50 == 0 || k == 8001 || k == 9999 || k == 10001) {
+      while (twin.pushed < wave.size()) twin.push(wave[twin.pushed]);
+      std::vector<Published> expected;
+      for (const auto& p : uninterrupted.out) {
+        if (p.sample > k) expected.push_back(p);
+      }
+      ASSERT_EQ(twin.out, expected) << "published stream after a split at " << k;
+      ASSERT_EQ(twin.checkpoint(), final_blob) << "final state after a split at " << k;
+    }
+    leader.push(wave[k]);
+  }
+}
+
+TEST(StreamingMonitor, RestoreRejectsForeignHopPosition) {
+  StreamingConfig config;
+  RecordingMonitor source{config};
+  for (std::size_t i = 0; i < 9500; ++i) source.push(100.0);
+  const auto blob = source.checkpoint();  // 9500 buffered, 1500 since the hop
+
+  StreamingConfig shorter_hop = config;  // window + hop − 1 = 8999 < 9500
+  shorter_hop.hop_s = 1.0;
+  RecordingMonitor a{shorter_hop};
+  EXPECT_THROW(a.restore(blob, 9500), CheckpointError);
+
+  StreamingConfig longer_window = config;  // 9500 ≠ 9000 + 1500
+  longer_window.window_s = 9.0;
+  RecordingMonitor b{longer_window};
+  EXPECT_THROW(b.restore(blob, 9500), CheckpointError);
+
+  RecordingMonitor same{config};
+  EXPECT_NO_THROW(same.restore(blob, 9500));
 }
 
 TEST(StreamingMonitor, AlarmToString) {
