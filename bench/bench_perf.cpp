@@ -91,7 +91,7 @@ BENCHMARK(BM_ModulatorStepCapacitiveBlock);
 void BM_ModulatorBankBlock(benchmark::State& state) {
   // Arg = lanes. The 4-lane point is the paper's 2×2 array; 8 and 64 are
   // the §4 per-element-converter direction where the SIMD kernels earn
-  // their keep. Items are *lane-clocks* (lanes × modulator clocks), so
+  // their keep; 5 is one full AVX2 packet plus one width-1 lane. Items are *lane-clocks* (lanes × modulator clocks), so
   // items_per_second is the aggregate conversion rate and the derived
   // modulator_bank_vs_scalar ratio reads as "how many scalar-stepped
   // single modulators one bank is worth". Lane seeds come from the sweep
@@ -117,7 +117,7 @@ void BM_ModulatorBankBlock(benchmark::State& state) {
                           static_cast<std::int64_t>(lanes * kOsr));
   state.counters["simd_width"] = static_cast<double>(bank.simd_width());
 }
-BENCHMARK(BM_ModulatorBankBlock)->Arg(4)->Arg(8)->Arg(64);
+BENCHMARK(BM_ModulatorBankBlock)->Arg(4)->Arg(5)->Arg(8)->Arg(64);
 
 void BM_ArrayAcquisitionFrame(benchmark::State& state) {
   // Full parallel readout: one 2×2 image (4 lanes × kOsr clocks + 4

@@ -5,17 +5,13 @@
 namespace tono::analog {
 
 void Comparator::plan(double* noise_dest, std::size_t n) noexcept {
-  plan_buf_ = noise_dest;
-  plan_len_ = n;
-  plan_idx_ = 0;
-  segment_start_ = 0;
-  if (config_.noise_vrms > 0.0) {
-    plan_snapshot_ = rng_;
-    rng_.fill_gaussian(noise_dest, n, 0.0, config_.noise_vrms);
-  }
   // With noise off the scalar path draws nothing per decision — the stream
-  // is consumed only by metastable events, which decide_planned() routes
-  // through planned_metastable_() in the same order. Nothing to pre-draw.
+  // is consumed only by metastable events, which decide_metastable_at()
+  // routes through planned_metastable_() in the same order. Nothing to
+  // pre-draw then.
+  if (Rng* stream = plan_external(noise_dest, n)) {
+    stream->fill_gaussian(noise_dest, n, 0.0, config_.noise_vrms);
+  }
 }
 
 Rng* Comparator::plan_external(double* noise_dest, std::size_t n) noexcept {
@@ -23,7 +19,7 @@ Rng* Comparator::plan_external(double* noise_dest, std::size_t n) noexcept {
   plan_len_ = n;
   plan_idx_ = 0;
   segment_start_ = 0;
-  if (config_.noise_vrms <= 0.0) return nullptr;
+  if (!(config_.noise_vrms > 0.0)) return nullptr;  // as decide() tests it
   plan_snapshot_ = rng_;
   return &rng_;
 }
@@ -59,7 +55,11 @@ void Comparator::serialize(CheckpointWriter& out) const {
 void Comparator::restore(CheckpointReader& in) {
   in.section("comparator");
   rng_.restore(in);
-  last_ = static_cast<int>(in.i64());
+  const std::int64_t last = in.i64();
+  if (last != 1 && last != -1) {
+    throw CheckpointError{"comparator checkpoint decision is not +1/-1"};
+  }
+  last_ = static_cast<int>(last);
   plan_buf_ = nullptr;
   plan_len_ = plan_idx_ = segment_start_ = 0;
 }

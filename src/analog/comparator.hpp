@@ -41,32 +41,18 @@ class Comparator {
     return last_;
   }
 
-  /// Pre-draws the noise for the next `n` decide_planned() calls into the
-  /// caller-owned `noise_dest` (the modulator's per-frame noise plan).
-  /// decide_planned() then consumes one entry per call and stays
+  /// Pre-draws the noise for the next `n` decisions of a planned block into
+  /// the caller-owned `noise_dest` (the modulator's per-frame noise plan).
+  /// The block kernel (bank_kernel.hpp) evaluates decision i as decide()
+  /// would, reading noise_dest[i] instead of drawing, and stays
   /// bit-identical to decide(): the only draw that cannot be planned is the
   /// metastable Bernoulli — it depends on the decision input — and when one
-  /// fires, the out-of-line slow path rewinds to a snapshot of the stream,
+  /// fires, decide_metastable_at(i) rewinds to a snapshot of the stream,
   /// replays the Gaussians consumed so far, interleaves the Bernoulli at its
   /// scalar position, and refills the rest of the plan from the new state.
   /// Metastable events are rare at the paper's operating point (band is µV
   /// against ~100 mV quantizer swing), so the resync cost is amortized away.
   void plan(double* noise_dest, std::size_t n) noexcept;
-
-  /// Planned variant of decide(): same decision logic, noise read from the
-  /// plan() buffer instead of drawn inline. Requires an active plan with at
-  /// least one unconsumed entry.
-  [[nodiscard]] int decide_planned(double input_v) noexcept {
-    double v = input_v - config_.offset_v;
-    if (config_.noise_vrms > 0.0) v += plan_buf_[plan_idx_++];
-    v -= 0.5 * config_.hysteresis_v * static_cast<double>(-last_);
-    if (std::abs(v) < config_.metastable_band_v) {
-      last_ = planned_metastable_() ? 1 : -1;
-      return last_;
-    }
-    last_ = v >= 0.0 ? 1 : -1;
-    return last_;
-  }
 
   /// Bank fill-path variant of plan(): identical bookkeeping (snapshot taken
   /// BEFORE any draw — it anchors the metastable resync), but the bulk fill
@@ -76,20 +62,20 @@ class Comparator {
   /// Returns nullptr when noise is off (nothing to pre-draw — see plan()).
   [[nodiscard]] Rng* plan_external(double* noise_dest, std::size_t n) noexcept;
 
-  /// Vectorized-bank escape hatch: the width-W kernel evaluated this lane's
-  /// decision for plan index `idx` (consuming its noise entry, when noise is
-  /// on) and landed in the metastable band. Replays the scalar slow path —
+  /// The block kernel's metastable escape: the kernel evaluated decision
+  /// `idx` of the active plan (consuming its noise entry, when noise is on)
+  /// and landed in the metastable band. Replays the scalar slow path —
   /// resync the stream, draw the Bernoulli at its scalar position, refill
-  /// plan entries (idx+1, len) — and returns the ±1 decision, updating the
-  /// hysteresis memory exactly as decide_planned() would have.
+  /// plan entries (idx+1, len) in place — and returns the ±1 decision,
+  /// updating the hysteresis memory exactly as decide() would have.
   [[nodiscard]] int decide_metastable_at(std::size_t idx) noexcept {
     plan_idx_ = idx + (config_.noise_vrms > 0.0 ? 1 : 0);
     last_ = planned_metastable_() ? 1 : -1;
     return last_;
   }
 
-  /// Writes the hysteresis memory back after a vectorized block, where the
-  /// per-clock decisions lived in the bank's SoA state. `last` must be ±1.
+  /// Writes the hysteresis memory back after a planned block, where the
+  /// per-clock decisions lived in the kernel's SoA state. `last` must be ±1.
   void set_last_decision(int last) noexcept { last_ = last; }
 
   [[nodiscard]] int last_decision() const noexcept { return last_; }
@@ -98,6 +84,7 @@ class Comparator {
   /// Checkpointing: the noise stream and the hysteresis memory. The planned
   /// block state is transient (plans live inside one frame; checkpoints are
   /// taken at frame/batch boundaries) and is neither stored nor restored.
+  /// restore throws CheckpointError when the stored memory is not ±1.
   void serialize(CheckpointWriter& out) const;
   void restore(CheckpointReader& in);
 

@@ -1,6 +1,7 @@
 #include "src/analog/modulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,6 +9,20 @@
 #include "src/common/units.hpp"
 
 namespace tono::analog {
+namespace {
+
+bool finite_positive(double v) noexcept { return std::isfinite(v) && v > 0.0; }
+
+}  // namespace
+
+namespace bankkernel {
+
+void run_packets_scalar(PacketView* packets, std::size_t n_packets,
+                        std::size_t n_clocks) {
+  run_packets<VecScalar>(packets, n_packets, n_clocks);
+}
+
+}  // namespace bankkernel
 
 DeltaSigmaModulator::DeltaSigmaModulator(const ModulatorConfig& config)
     : config_(config),
@@ -64,8 +79,8 @@ double DeltaSigmaModulator::flicker_scale(const OpAmpConfig& amp) const noexcept
 }
 
 void DeltaSigmaModulator::set_feedback_capacitor(double c_fb1_f) {
-  if (c_fb1_f <= 0.0) {
-    throw std::invalid_argument{"set_feedback_capacitor: must be > 0"};
+  if (!finite_positive(c_fb1_f)) {
+    throw std::invalid_argument{"set_feedback_capacitor: must be finite and > 0"};
   }
   config_.c_fb1_f = c_fb1_f;
 }
@@ -183,8 +198,7 @@ DeltaSigmaModulator::CapacitiveInput DeltaSigmaModulator::capacitive_input_(
   const double q_fs = c_fb * config_.vref_v;
   const double q_sig = (c_sense_f - c_ref_f) * config_.vexc_v;
   in.u = q_sig / q_fs;
-  in.ktc = config_.enable_ktc_noise;
-  if (in.ktc) {
+  if (config_.enable_ktc_noise) {
     const double c_total = c_sense_f + c_ref_f + c_fb;
     const double q_sigma =
         std::sqrt(2.0 * units::k_boltzmann * config_.temperature_k * c_total * 2.0);
@@ -193,16 +207,14 @@ DeltaSigmaModulator::CapacitiveInput DeltaSigmaModulator::capacitive_input_(
   return in;
 }
 
-std::size_t DeltaSigmaModulator::shared_draws_per_clock_(bool ktc) const noexcept {
-  const bool ref_on = config_.ref_noise_vrms > 0.0;
-  const bool op1_on = config_.opamp1.noise_vrms > 0.0;
-  const bool op2_on = config_.order == 2 && config_.opamp2.noise_vrms > 0.0;
-  return static_cast<std::size_t>(ktc) + static_cast<std::size_t>(ref_on) +
-         static_cast<std::size_t>(op1_on) + static_cast<std::size_t>(op2_on);
+std::size_t DeltaSigmaModulator::shared_draws_per_clock_() const noexcept {
+  return static_cast<std::size_t>(
+      std::popcount(kernel_branches_() & bankkernel::kSharedSources));
 }
 
-void DeltaSigmaModulator::build_shared_plan_(std::size_t n, double sigma_u,
-                                             bool ktc, const double* raw) noexcept {
+void DeltaSigmaModulator::build_shared_plan_(
+    std::size_t n, double sigma_u, const double* raw,
+    const SharedPlanDest& dest) const noexcept {
   // The shared stream's draw order per clock is [kT/C, ref, op-amp1,
   // op-amp2], each present only when its source is enabled — and
   // gaussian(mean, sigma) is an affine map over gaussian(), so the standard
@@ -210,78 +222,153 @@ void DeltaSigmaModulator::build_shared_plan_(std::size_t n, double sigma_u,
   // the SoA buffers applying each source's exact draw-site expression,
   // including its `0.0 +` (which turns a −0.0 product into +0.0, as the
   // scalar path's mean addition does).
-  const bool ref_on = config_.ref_noise_vrms > 0.0;
-  const bool op1_on = config_.opamp1.noise_vrms > 0.0;
-  const bool op2_on = config_.order == 2 && config_.opamp2.noise_vrms > 0.0;
+  using namespace bankkernel;
+  const std::uint32_t b = kernel_branches_();
   const double vref = config_.vref_v;
   const double scale = config_.loop.state_scale_v;
   std::size_t j = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ktc) plan_.ktc[i] = 0.0 + sigma_u * raw[j++];
-    if (ref_on) plan_.ref[i] = (0.0 + config_.ref_noise_vrms * raw[j++]) / vref;
-    if (op1_on) plan_.op1[i] = (0.0 + config_.opamp1.noise_vrms * raw[j++]) / scale;
-    if (op2_on) plan_.op2[i] = (0.0 + config_.opamp2.noise_vrms * raw[j++]) / scale;
+  for (std::size_t i = 0, at = 0; i < n; ++i, at += dest.stride) {
+    if (b & kKtc) dest.ktc[at] = 0.0 + sigma_u * raw[j++];
+    if (b & kRef) dest.ref[at] = (0.0 + config_.ref_noise_vrms * raw[j++]) / vref;
+    if (b & kOp1) dest.op1[at] = (0.0 + config_.opamp1.noise_vrms * raw[j++]) / scale;
+    if (b & kOp2) dest.op2[at] = (0.0 + config_.opamp2.noise_vrms * raw[j++]) / scale;
   }
 }
 
-void DeltaSigmaModulator::apply_flicker_scale1_(std::size_t n) noexcept {
+void DeltaSigmaModulator::apply_flicker_scale_(int stage, std::size_t n) noexcept {
+  double* flick = (stage == 1 ? plan_.flick1 : plan_.flick2).data();
+  const double g = stage == 1 ? flicker_scale1_ : flicker_scale2_;
   const double scale = config_.loop.state_scale_v;
-  for (std::size_t i = 0; i < n; ++i) {
-    plan_.flick1[i] = plan_.flick1[i] * flicker_scale1_ / scale;
-  }
+  for (std::size_t i = 0; i < n; ++i) flick[i] = flick[i] * g / scale;
 }
 
-void DeltaSigmaModulator::apply_flicker_scale2_(std::size_t n) noexcept {
-  const double scale = config_.loop.state_scale_v;
-  for (std::size_t i = 0; i < n; ++i) {
-    plan_.flick2[i] = plan_.flick2[i] * flicker_scale2_ / scale;
-  }
+std::uint32_t DeltaSigmaModulator::kernel_branches_() const noexcept {
+  using namespace bankkernel;
+  const bool order2 = config_.order == 2;
+  std::uint32_t b = 0;
+  if (order2) b |= kOrder2;
+  if (config_.enable_settling) b |= kSettling;
+  if (config_.enable_ktc_noise) b |= kKtc;
+  if (config_.ref_noise_vrms > 0.0) b |= kRef;
+  if (config_.opamp1.noise_vrms > 0.0) b |= kOp1;
+  if (flicker_scale1_ > 0.0) b |= kFl1;
+  if (order2 && config_.opamp2.noise_vrms > 0.0) b |= kOp2;
+  if (order2 && flicker_scale2_ > 0.0) b |= kFl2;
+  if (config_.comparator.noise_vrms > 0.0) b |= kComp;
+  return b;
 }
 
-void DeltaSigmaModulator::finish_plan_(std::size_t n, bool ktc) noexcept {
-  plan_.len = n;
-  plan_.idx = 0;
-  plan_.ktc_on = ktc;
-  plan_.ref_on = config_.ref_noise_vrms > 0.0;
-  plan_.op1_on = config_.opamp1.noise_vrms > 0.0;
-  plan_.flick1_on = flicker_scale1_ > 0.0;
-  plan_.op2_on = config_.order == 2 && config_.opamp2.noise_vrms > 0.0;
-  plan_.flick2_on = config_.order == 2 && flicker_scale2_ > 0.0;
-  noise_plan_fills_metric_->add(1);  // frame rate — inside the hot-path contract
+void DeltaSigmaModulator::load_kernel_slot_(bankkernel::LaneSlots& s,
+                                            std::size_t w,
+                                            double u) const noexcept {
+  s.x1[w] = x1_;
+  s.x2[w] = x2_;
+  s.d[w] = static_cast<double>(bit_);
+  s.last[w] = static_cast<double>(comparator_.last_decision());
+  s.time_s[w] = time_s_;
+  s.max1[w] = max_x1_;
+  s.max2[w] = max_x2_;
+  s.clips[w] = 0.0;  // per-block count, added to clip_count_ on store
+  s.u[w] = u;
+  s.g1[w] = config_.loop.g1;
+  s.a1[w] = config_.loop.a1;
+  // delta2 = g2 * g2_mismatch_ * x1_prev associates left, so pre-multiplying
+  // the first product is exact.
+  s.p2[w] = config_.loop.g2 * g2_mismatch_;
+  s.a2[w] = config_.loop.a2;
+  s.scale[w] = config_.loop.state_scale_v;
+  s.leak1[w] = opamp1_.leak_factor();
+  s.leak2[w] = opamp2_.leak_factor();
+  s.swing1[w] = swing1_v_;
+  s.swing2[w] = swing2_v_;
+  s.settle1[w] = settle_exact1_v_;
+  s.settle2[w] = settle_exact2_v_;
+  s.comp_offset[w] = comparator_.config().offset_v;
+  // 0.5 * hysteresis_v * (−last) also associates left.
+  s.comp_halfhyst[w] = 0.5 * comparator_.config().hysteresis_v;
+  s.comp_band[w] = comparator_.config().metastable_band_v;
+  s.clock_period[w] = clock_period_s_;
 }
 
-void DeltaSigmaModulator::fill_noise_plan_(std::size_t n, double sigma_u,
-                                           bool ktc) noexcept {
+void DeltaSigmaModulator::store_kernel_slot_(const bankkernel::LaneSlots& s,
+                                             std::size_t w) noexcept {
+  x1_ = s.x1[w];
+  x2_ = s.x2[w];
+  bit_ = static_cast<int>(s.d[w]);
+  comparator_.set_last_decision(static_cast<int>(s.last[w]));
+  time_s_ = s.time_s[w];
+  max_x1_ = s.max1[w];
+  max_x2_ = s.max2[w];
+  clip_count_ += static_cast<std::size_t>(s.clips[w]);
+}
+
+bankkernel::PacketView DeltaSigmaModulator::solo_view_(
+    bankkernel::LaneSlots& s, int* const* bits) noexcept {
+  bankkernel::PacketView v;
+  v.width = 1;
+  v.slots = &s;
+  v.ktc = plan_.ktc.data();
+  v.ref = plan_.ref.data();
+  v.op1 = plan_.op1.data();
+  v.fl1 = plan_.flick1.data();
+  v.op2 = plan_.op2.data();
+  v.fl2 = plan_.flick2.data();
+  v.comp = plan_.comp.data();
+  v.branches = kernel_branches_();
+  v.bits = bits;
+  v.ctx = this;
+  v.settle_fn = &DeltaSigmaModulator::settle_escape_;
+  v.metastable_fn = &DeltaSigmaModulator::metastable_escape_;
+  return v;
+}
+
+double DeltaSigmaModulator::settle_escape_(void* ctx, std::size_t /*slot*/,
+                                           int stage, double v) {
+  const auto& mod = *static_cast<const DeltaSigmaModulator*>(ctx);
+  const OpAmp& amp = stage == 1 ? mod.opamp1_ : mod.opamp2_;
+  return amp.settle(v, mod.dt_phase_s_);
+}
+
+double DeltaSigmaModulator::metastable_escape_(void* ctx, std::size_t /*slot*/,
+                                               std::size_t clock) {
+  auto& mod = *static_cast<DeltaSigmaModulator*>(ctx);
+  return static_cast<double>(mod.comparator_.decide_metastable_at(clock));
+}
+
+void DeltaSigmaModulator::fill_noise_plan_(std::size_t n,
+                                           double sigma_u) noexcept {
   // Generate the whole frame's worth of shared-stream normals in a single
   // bulk fill (same end state as the interleaved scalar draws), then
   // de-interleave. See build_shared_plan_.
   double raw[4 * NoisePlan::kFrame];
-  rng_.fill_gaussian(raw, n * shared_draws_per_clock_(ktc));
-  build_shared_plan_(n, sigma_u, ktc, raw);
+  rng_.fill_gaussian(raw, n * shared_draws_per_clock_());
+  build_shared_plan_(n, sigma_u, raw, own_shared_dest_());
   if (flicker_scale1_ > 0.0) {
     flicker1_.fill_next(plan_.flick1.data(), n);
-    apply_flicker_scale1_(n);
+    apply_flicker_scale_(1, n);
   }
   if (config_.order == 2 && flicker_scale2_ > 0.0) {
     flicker2_.fill_next(plan_.flick2.data(), n);
-    apply_flicker_scale2_(n);
+    apply_flicker_scale_(2, n);
   }
   comparator_.plan(plan_.comp.data(), n);
-  finish_plan_(n, ktc);
+  noise_plan_fills_metric_->add(1);  // frame rate — inside the hot-path contract
 }
 
 void DeltaSigmaModulator::step_capacitive_block(double c_sense_f, double c_ref_f,
                                                 int* bits_out, std::size_t n) {
   const CapacitiveInput in = capacitive_input_(c_sense_f, c_ref_f);
+  bankkernel::LaneSlots slots;
+  load_kernel_slot_(slots, 0, in.u);
+  bankkernel::PacketView view = solo_view_(slots, &bits_out);
   while (n > 0) {
     const std::size_t frame = std::min<std::size_t>(n, NoisePlan::kFrame);
-    fill_noise_plan_(frame, in.sigma_u, in.ktc);
-    for (std::size_t i = 0; i < frame; ++i) {
-      bits_out[i] = step_planned_(in.u);
-    }
+    fill_noise_plan_(frame, in.sigma_u);
+    bankkernel::run_packets_scalar(&view, 1, frame);
     bits_out += frame;
     n -= frame;
   }
+  store_kernel_slot_(slots, 0);
 }
 
 std::vector<int> DeltaSigmaModulator::run_voltage(
@@ -340,10 +427,18 @@ void DeltaSigmaModulator::serialize(CheckpointWriter& out) const {
 
 void DeltaSigmaModulator::restore(CheckpointReader& in) {
   in.section("modulator");
-  config_.c_fb1_f = in.f64();
+  const double c_fb1_f = in.f64();
+  if (!finite_positive(c_fb1_f)) {
+    throw CheckpointError{"modulator checkpoint C_fb1 is not finite and > 0"};
+  }
+  config_.c_fb1_f = c_fb1_f;
   x1_ = in.f64();
   x2_ = in.f64();
-  bit_ = static_cast<int>(in.i64());
+  const std::int64_t bit = in.i64();
+  if (bit != 1 && bit != -1) {
+    throw CheckpointError{"modulator checkpoint output bit is not +1/-1"};
+  }
+  bit_ = static_cast<int>(bit);
   time_s_ = in.f64();
   max_x1_ = in.f64();
   max_x2_ = in.f64();
@@ -352,7 +447,6 @@ void DeltaSigmaModulator::restore(CheckpointReader& in) {
   flicker1_.restore(in);
   flicker2_.restore(in);
   comparator_.restore(in);
-  plan_.len = plan_.idx = 0;  // transient: plans never span a checkpoint
 }
 
 }  // namespace tono::analog

@@ -21,6 +21,13 @@
 // settling), op-amp thermal noise, comparator offset/hysteresis/
 // metastability, clock jitter (voltage mode), reference noise, capacitor
 // mismatch, and integrator output clipping.
+//
+// One recurrence, two forms. step_normalized is the scalar reference: one
+// clock, every noise draw inline. Every block path — the solo
+// step_capacitive_block below and every ModulatorBank lane — runs the same
+// loop through bankkernel::run_packets<V> (bank_kernel.hpp) at width 1, 2
+// or 4 over a per-frame noise plan, and the block == scalar and
+// bank == solo tests pin each of them bit-for-bit to step_normalized.
 #pragma once
 
 #include <algorithm>
@@ -31,6 +38,7 @@
 #include <functional>
 #include <vector>
 
+#include "src/analog/bank_kernel.hpp"
 #include "src/analog/comparator.hpp"
 #include "src/analog/opamp.hpp"
 #include "src/common/metrics.hpp"
@@ -110,8 +118,9 @@ class DeltaSigmaModulator {
   /// fill_noise_plan_), and the per-clock loop reduces to the ~10-flop loop
   /// recurrence plus buffer reads. Op-amp settling is additionally skipped
   /// whenever the step provably settles exactly (OpAmp::full_settle_threshold
-  /// against the config-fixed clock phase). This is the acquisition
-  /// pipeline's block hot path.
+  /// against the config-fixed clock phase). The loop itself is the bank
+  /// kernel at width 1 (bank_kernel.hpp), reading the plan in place. This is
+  /// the acquisition pipeline's block hot path.
   void step_capacitive_block(double c_sense_f, double c_ref_f, int* bits_out,
                              std::size_t n);
 
@@ -129,7 +138,7 @@ class DeltaSigmaModulator {
   /// Switches the first-stage feedback capacitor bank (§4: "adjusting the
   /// feedback capacitors of the first modulator stage"). Takes effect on the
   /// next clock; the per-die mismatch factor is retained. Throws
-  /// std::invalid_argument for non-positive values.
+  /// std::invalid_argument unless the value is finite and positive.
   void set_feedback_capacitor(double c_fb1_f);
 
   /// Capacitive-mode full-scale capacitance difference:
@@ -154,7 +163,9 @@ class DeltaSigmaModulator {
   /// runtime-switchable C_fb1. The per-die mismatch draws, settle thresholds
   /// and LUT-free invariants are construction-time state and reproduce from
   /// the config; the per-frame noise plan is transient (checkpoints are
-  /// taken between frames, when the plan is fully consumed).
+  /// taken between frames, when the plan is fully consumed). restore throws
+  /// CheckpointError when the output bit or the comparator memory is not ±1
+  /// or C_fb1 is not finite and positive.
   void serialize(CheckpointWriter& out) const;
   void restore(CheckpointReader& in);
 
@@ -163,8 +174,7 @@ class DeltaSigmaModulator {
 
   /// Shared loop update; `u` is the normalized input (full scale ±1) and
   /// `extra_noise_u` is mode-specific input-referred noise. This is the
-  /// scalar reference implementation; step_planned_ must mirror it
-  /// expression-for-expression.
+  /// scalar reference every block path is tested against.
   [[nodiscard]] int step_normalized(double u, double extra_noise_u);
 
   /// Per-sample flicker amplitude for one op-amp (0 if disabled).
@@ -175,7 +185,7 @@ class DeltaSigmaModulator {
   /// de-interleaved from a single bulk Rng::fill_gaussian; flicker and
   /// comparator noise come from their own streams. Values are stored
   /// post-scaling with each source's exact scalar draw-site expression, so
-  /// step_planned_ just adds them.
+  /// the kernel just adds them.
   struct NoisePlan {
     /// One decimated output sample per fill: OSR clocks at the paper's
     /// operating point (128 kHz / 1 kS/s).
@@ -187,28 +197,34 @@ class DeltaSigmaModulator {
     std::array<double, kFrame> op2;
     std::array<double, kFrame> flick2;
     std::array<double, kFrame> comp;
-    std::size_t len{0};
-    std::size_t idx{0};
-    bool ktc_on{false};
-    bool ref_on{false};
-    bool op1_on{false};
-    bool flick1_on{false};
-    bool op2_on{false};
-    bool flick2_on{false};
   };
+
+  /// Where build_shared_plan_ writes: clock i of each shared source at
+  /// [i * stride] (stride 1 for plan_, the packet width for a bank's
+  /// transposed buffers).
+  struct SharedPlanDest {
+    double* ktc;
+    double* ref;
+    double* op1;
+    double* op2;
+    std::size_t stride;
+  };
+  [[nodiscard]] SharedPlanDest own_shared_dest_() noexcept {
+    return {plan_.ktc.data(), plan_.ref.data(), plan_.op1.data(),
+            plan_.op2.data(), 1};
+  }
 
   /// Capacitive-mode loop invariants, hoisted verbatim from step_capacitive.
   struct CapacitiveInput {
     double u{0.0};        ///< normalized input q_sig / q_fs
     double sigma_u{0.0};  ///< kT/C sigma in FS units (0 when disabled)
-    bool ktc{false};
   };
   [[nodiscard]] CapacitiveInput capacitive_input_(double c_sense_f,
                                                   double c_ref_f) const noexcept;
 
   /// Fills plan_ for the next `n` clocks (n <= NoisePlan::kFrame), advancing
   /// every noise stream exactly as n scalar steps would.
-  void fill_noise_plan_(std::size_t n, double sigma_u, bool ktc) noexcept;
+  void fill_noise_plan_(std::size_t n, double sigma_u) noexcept;
 
   // fill_noise_plan_ is split into the pieces below so the ModulatorBank can
   // drive the same plan construction with cross-lane batched Gaussian fills
@@ -217,90 +233,37 @@ class DeltaSigmaModulator {
   // Scalar and bank paths share these bodies, so they cannot drift apart.
 
   /// Shared-stream (rng_) standard normals consumed per clock.
-  [[nodiscard]] std::size_t shared_draws_per_clock_(bool ktc) const noexcept;
+  [[nodiscard]] std::size_t shared_draws_per_clock_() const noexcept;
   /// De-interleaves a shared-stream raw fill (n * shared_draws_per_clock_
-  /// standard normals) into plan_.{ktc,ref,op1,op2} with each source's exact
-  /// draw-site expression.
-  void build_shared_plan_(std::size_t n, double sigma_u, bool ktc,
-                          const double* raw) noexcept;
-  /// Draw-site scaling of the unit pink samples in plan_.flick1 / flick2.
-  void apply_flicker_scale1_(std::size_t n) noexcept;
-  void apply_flicker_scale2_(std::size_t n) noexcept;
-  /// Plan flags, length, cursor and the fills metric.
-  void finish_plan_(std::size_t n, bool ktc) noexcept;
+  /// standard normals) into `dest` with each source's exact draw-site
+  /// expression.
+  void build_shared_plan_(std::size_t n, double sigma_u, const double* raw,
+                          const SharedPlanDest& dest) const noexcept;
+  /// Draw-site scaling of the unit pink samples in plan_.flick1 (stage 1)
+  /// or plan_.flick2 (stage 2).
+  void apply_flicker_scale_(int stage, std::size_t n) noexcept;
 
-  /// Planned twin of step_normalized: same expressions in the same order,
-  /// noise read from plan_ instead of drawn, settle() skipped when the step
-  /// is provably exact. Inline — this IS the block hot loop.
-  [[nodiscard]] int step_planned_(double u) noexcept {
-    const auto& lc = config_.loop;
-    const double scale = lc.state_scale_v;
-    const std::size_t i = plan_.idx++;
-
-    double ref_err_u = 0.0;
-    if (plan_.ref_on) ref_err_u = plan_.ref[i];
-    double extra_noise_u = 0.0;
-    if (plan_.ktc_on) extra_noise_u = plan_.ktc[i];
-
-    const double d = static_cast<double>(bit_);
-
-    const double u_total = u + extra_noise_u + ref_err_u * d;
-    double delta1 = lc.g1 * u_total - lc.a1 * d * (1.0 + ref_err_u);
-    if (plan_.op1_on) delta1 += plan_.op1[i];
-    if (plan_.flick1_on) delta1 += plan_.flick1[i];
-    if (config_.enable_settling) {
-      const double v1 = delta1 * scale;
-      if (std::abs(v1) <= settle_exact1_v_) {
-        // settle(v1, dt) would return v1 bit-for-bit here (see
-        // OpAmp::full_settle_threshold); settle(±0) returns +0.0.
-        delta1 = (v1 == 0.0 ? 0.0 : v1) / scale;
-      } else {
-        delta1 = opamp1_.settle(v1, dt_phase_s_) / scale;
-      }
-    }
-    const double x1_prev = x1_;
-    const double x1_new = opamp1_.leak_factor() * x1_ + delta1;
-    const double v_x1 = x1_new * scale;
-    // std::clamp, spelled out (clip() is out of line).
-    const double x1_clipped =
-        (v_x1 < -swing1_v_ ? -swing1_v_ : (swing1_v_ < v_x1 ? swing1_v_ : v_x1)) /
-        scale;
-    if (x1_clipped != x1_new) ++clip_count_;
-    x1_ = x1_clipped;
-
-    max_x1_ = std::max(max_x1_, std::abs(x1_ * scale));
-
-    if (config_.order == 1) {
-      bit_ = comparator_.decide_planned(x1_ * scale);
-      time_s_ += clock_period_s_;  // same double as 1.0 / sampling_rate_hz
-      return bit_;
-    }
-
-    double delta2 = lc.g2 * g2_mismatch_ * x1_prev - lc.a2 * d;
-    if (plan_.op2_on) delta2 += plan_.op2[i];
-    if (plan_.flick2_on) delta2 += plan_.flick2[i];
-    if (config_.enable_settling) {
-      const double v2 = delta2 * scale;
-      if (std::abs(v2) <= settle_exact2_v_) {
-        delta2 = (v2 == 0.0 ? 0.0 : v2) / scale;
-      } else {
-        delta2 = opamp2_.settle(v2, dt_phase_s_) / scale;
-      }
-    }
-    const double x2_new = opamp2_.leak_factor() * x2_ + delta2;
-    const double v_x2 = x2_new * scale;
-    const double x2_clipped =
-        (v_x2 < -swing2_v_ ? -swing2_v_ : (swing2_v_ < v_x2 ? swing2_v_ : v_x2)) /
-        scale;
-    if (x2_clipped != x2_new) ++clip_count_;
-    x2_ = x2_clipped;
-
-    max_x2_ = std::max(max_x2_, std::abs(x2_ * scale));
-
-    bit_ = comparator_.decide_planned(x2_ * scale);
-    time_s_ += clock_period_s_;  // same double as 1.0 / sampling_rate_hz
-    return bit_;
-  }
+  /// The bank kernel's per-packet branch set for this modulator
+  /// (bankkernel::Branch bits): loop order, settling, and which noise
+  /// sources exist. ModulatorBank packs lanes with equal masks together.
+  [[nodiscard]] std::uint32_t kernel_branches_() const noexcept;
+  /// Loads this modulator's loop state and invariants into kernel slot `w`
+  /// of `s` (`u` = normalized input); store_kernel_slot_ writes the state
+  /// back. This pair is the whole list of what the kernel reads and writes.
+  void load_kernel_slot_(bankkernel::LaneSlots& s, std::size_t w,
+                         double u) const noexcept;
+  void store_kernel_slot_(const bankkernel::LaneSlots& s,
+                          std::size_t w) noexcept;
+  /// A width-1 view of this modulator: state in slot 0 of `s`, noise read
+  /// straight from plan_, bit i of each frame written to (*bits)[i].
+  [[nodiscard]] bankkernel::PacketView solo_view_(bankkernel::LaneSlots& s,
+                                                  int* const* bits) noexcept;
+  // The kernel's scalar escapes for a lane of this modulator (`ctx`). The
+  // metastable one rewrites plan_.comp in place through the comparator.
+  static double settle_escape_(void* ctx, std::size_t slot, int stage,
+                               double v);
+  static double metastable_escape_(void* ctx, std::size_t slot,
+                                   std::size_t clock);
 
   ModulatorConfig config_;
   OpAmp opamp1_;

@@ -66,40 +66,23 @@ void ModulatorBank::init_metrics_() {
   simd_width_gauge_->set(static_cast<double>(width_));
 }
 
-std::uint32_t ModulatorBank::structure_key_(std::size_t k) const noexcept {
-  // One bit per kernel branch (bank_kernel.hpp): lanes sharing a key take
-  // identical per-packet branches, so only their *values* differ.
-  const DeltaSigmaModulator& lane = lanes_[k];
-  const ModulatorConfig& c = lane.config_;
-  const bool order2 = c.order == 2;
-  std::uint32_t key = 0;
-  key |= order2 ? 1u : 0u;
-  key |= c.enable_settling ? 2u : 0u;
-  key |= c.enable_ktc_noise ? 4u : 0u;
-  key |= c.ref_noise_vrms > 0.0 ? 8u : 0u;
-  key |= c.opamp1.noise_vrms > 0.0 ? 16u : 0u;
-  key |= lane.flicker_scale1_ > 0.0 ? 32u : 0u;
-  key |= (order2 && c.opamp2.noise_vrms > 0.0) ? 64u : 0u;
-  key |= (order2 && lane.flicker_scale2_ > 0.0) ? 128u : 0u;
-  key |= c.comparator.noise_vrms > 0.0 ? 256u : 0u;
-  return key;
-}
-
 void ModulatorBank::rebuild_packets_() {
   packets_.clear();
-  scalar_lanes_.clear();
+  plans_.clear();
   views_.clear();
   lane_packet_.assign(lanes_.size(), kNoPacket);
   lane_slot_.assign(lanes_.size(), 0);
   packets_dirty_ = false;
+  // Group enabled lanes by control structure, preserving lane order within
+  // each group, then cut each group into full-width packets; what is left
+  // over runs as width-1 packets. Group order follows first appearance, so
+  // the layout is deterministic.
+  std::vector<std::size_t> singles;
   if (width_ > 1) {
-    // Group enabled lanes by control structure, preserving lane order within
-    // each group, then cut each group into full-width packets. Group order
-    // follows first appearance, so the layout is deterministic.
     std::vector<std::pair<std::uint32_t, std::vector<std::size_t>>> groups;
     for (std::size_t k = 0; k < lanes_.size(); ++k) {
       if (!enabled_[k]) continue;
-      const std::uint32_t key = structure_key_(k);
+      const std::uint32_t key = lanes_[k].kernel_branches_();
       auto it = std::find_if(groups.begin(), groups.end(),
                              [key](const auto& g) { return g.first == key; });
       if (it == groups.end()) {
@@ -112,92 +95,54 @@ void ModulatorBank::rebuild_packets_() {
       std::size_t i = 0;
       for (; i + width_ <= members.size(); i += width_) {
         Packet p;
-        p.owner = this;
-        p.order2 = (key & 1u) != 0;
-        p.settling = (key & 2u) != 0;
-        p.ktc_on = (key & 4u) != 0;
-        p.ref_on = (key & 8u) != 0;
-        p.op1_on = (key & 16u) != 0;
-        p.fl1_on = (key & 32u) != 0;
-        p.op2_on = (key & 64u) != 0;
-        p.fl2_on = (key & 128u) != 0;
-        p.comp_on = (key & 256u) != 0;
+        p.width = width_;
         for (std::size_t w = 0; w < width_; ++w) {
           const std::size_t lk = members[i + w];
-          const DeltaSigmaModulator& lane = lanes_[lk];
           p.lane[w] = lk;
           lane_packet_[lk] = packets_.size();
           lane_slot_[lk] = w;
-          p.g1[w] = lane.config_.loop.g1;
-          p.a1[w] = lane.config_.loop.a1;
-          // Scalar delta2 is (g2 * g2_mismatch_) * x1_prev under left
-          // association; pre-multiplying the first product is exact.
-          p.p2[w] = lane.config_.loop.g2 * lane.g2_mismatch_;
-          p.a2[w] = lane.config_.loop.a2;
-          p.scale[w] = lane.config_.loop.state_scale_v;
-          p.leak1[w] = lane.opamp1_.leak_factor();
-          p.leak2[w] = lane.opamp2_.leak_factor();
-          p.swing1[w] = lane.swing1_v_;
-          p.swing2[w] = lane.swing2_v_;
-          p.settle1[w] = lane.settle_exact1_v_;
-          p.settle2[w] = lane.settle_exact2_v_;
-          p.comp_offset[w] = lane.comparator_.config().offset_v;
-          // Scalar: 0.5 * hysteresis_v * (−last) — left-associated, so the
-          // 0.5·h product is exact to pre-compute.
-          p.comp_halfhyst[w] = 0.5 * lane.comparator_.config().hysteresis_v;
-          p.comp_band[w] = lane.comparator_.config().metastable_band_v;
-          p.clock_period[w] = lane.clock_period_s_;
         }
         packets_.push_back(p);
+        plans_.emplace_back();
+        plans_.back().branches = key;
       }
-      for (; i < members.size(); ++i) scalar_lanes_.push_back(members[i]);
+      for (; i < members.size(); ++i) singles.push_back(members[i]);
     }
-    std::sort(scalar_lanes_.begin(), scalar_lanes_.end());
+    std::sort(singles.begin(), singles.end());
   } else {
     for (std::size_t k = 0; k < lanes_.size(); ++k) {
-      if (enabled_[k]) scalar_lanes_.push_back(k);
+      if (enabled_[k]) singles.push_back(k);
     }
   }
+  for (const std::size_t k : singles) {
+    Packet p;
+    p.lane[0] = k;
+    packets_.push_back(p);
+  }
+
   views_.resize(packets_.size());
   for (std::size_t pi = 0; pi < packets_.size(); ++pi) {
     Packet& p = packets_[pi];
+    if (pi >= plans_.size()) {
+      views_[pi] = lanes_[p.lane[0]].solo_view_(p.slots, p.bits.data());
+      continue;
+    }
+    TransposedPlans& t = plans_[pi];
+    t.packet = pi;
+    t.owner = this;
     bankkernel::PacketView& v = views_[pi];
     v.width = width_;
-    v.x1 = p.x1.data();
-    v.x2 = p.x2.data();
-    v.d = p.d.data();
-    v.last = p.last.data();
-    v.time_s = p.time_s.data();
-    v.max1 = p.max1.data();
-    v.max2 = p.max2.data();
-    v.clips = p.clips.data();
-    v.u = p.u.data();
-    v.g1 = p.g1.data();
-    v.a1 = p.a1.data();
-    v.p2 = p.p2.data();
-    v.a2 = p.a2.data();
-    v.scale = p.scale.data();
-    v.leak1 = p.leak1.data();
-    v.leak2 = p.leak2.data();
-    v.swing1 = p.swing1.data();
-    v.swing2 = p.swing2.data();
-    v.settle1 = p.settle1.data();
-    v.settle2 = p.settle2.data();
-    v.comp_offset = p.comp_offset.data();
-    v.comp_halfhyst = p.comp_halfhyst.data();
-    v.comp_band = p.comp_band.data();
-    v.clock_period = p.clock_period.data();
-    v.ktc = p.ktc_on ? p.ktc.data() : nullptr;
-    v.ref = p.ref_on ? p.ref.data() : nullptr;
-    v.op1 = p.op1_on ? p.op1.data() : nullptr;
-    v.fl1 = p.fl1_on ? p.fl1.data() : nullptr;
-    v.op2 = p.op2_on ? p.op2.data() : nullptr;
-    v.fl2 = p.fl2_on ? p.fl2.data() : nullptr;
-    v.comp = p.comp_on ? p.comp.data() : nullptr;
-    v.order2 = p.order2;
-    v.settling = p.settling;
+    v.slots = &p.slots;
+    v.ktc = t.ktc.data();
+    v.ref = t.ref.data();
+    v.op1 = t.op1.data();
+    v.fl1 = t.fl1.data();
+    v.op2 = t.op2.data();
+    v.fl2 = t.fl2.data();
+    v.comp = t.comp.data();
+    v.branches = t.branches;
     v.bits = p.bits.data();
-    v.ctx = &p;
+    v.ctx = &t;
     v.settle_fn = &ModulatorBank::settle_cb_;
     v.metastable_fn = &ModulatorBank::metastable_cb_;
   }
@@ -205,33 +150,16 @@ void ModulatorBank::rebuild_packets_() {
 
 void ModulatorBank::load_packet_state_() {
   for (Packet& p : packets_) {
-    for (std::size_t w = 0; w < width_; ++w) {
-      DeltaSigmaModulator& lane = lanes_[p.lane[w]];
-      p.u[w] = inputs_[p.lane[w]].u;
-      p.x1[w] = lane.x1_;
-      p.x2[w] = lane.x2_;
-      p.d[w] = static_cast<double>(lane.bit_);
-      p.last[w] = static_cast<double>(lane.comparator_.last_decision());
-      p.time_s[w] = lane.time_s_;
-      p.max1[w] = lane.max_x1_;
-      p.max2[w] = lane.max_x2_;
-      p.clips[w] = 0.0;  // per-block count, added to the lane's total after
+    for (std::size_t w = 0; w < p.width; ++w) {
+      lanes_[p.lane[w]].load_kernel_slot_(p.slots, w, inputs_[p.lane[w]].u);
     }
   }
 }
 
 void ModulatorBank::store_packet_state_() {
-  for (Packet& p : packets_) {
-    for (std::size_t w = 0; w < width_; ++w) {
-      DeltaSigmaModulator& lane = lanes_[p.lane[w]];
-      lane.x1_ = p.x1[w];
-      lane.x2_ = p.x2[w];
-      lane.bit_ = static_cast<int>(p.d[w]);
-      lane.comparator_.set_last_decision(static_cast<int>(p.last[w]));
-      lane.time_s_ = p.time_s[w];
-      lane.max_x1_ = p.max1[w];
-      lane.max_x2_ = p.max2[w];
-      lane.clip_count_ += static_cast<std::size_t>(p.clips[w]);
+  for (const Packet& p : packets_) {
+    for (std::size_t w = 0; w < p.width; ++w) {
+      lanes_[p.lane[w]].store_kernel_slot_(p.slots, w);
     }
   }
 }
@@ -253,7 +181,7 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
   for (std::size_t k = 0; k < K; ++k) {
     if (!enabled_[k]) continue;
     const std::size_t count =
-        frame * lanes_[k].shared_draws_per_clock_(inputs_[k].ktc);
+        frame * lanes_[k].shared_draws_per_clock_();
     if (count == 0) continue;
     fill_rngs_.push_back(&lanes_[k].rng_);
     fill_dests_.push_back(shared_raw_.data() + k * 4 * kFrame);
@@ -262,15 +190,14 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
   }
   Rng::fill_gaussian_multi(fill_rngs_.data(), fill_dests_.data(),
                            fill_ns_.data(), fill_rngs_.size());
-  // Packet lanes skip the NoisePlan arrays: fuse_shared_packet_plans_ writes
-  // their scaled values straight into the transposed packet buffers. Only
-  // scalar-stepped lanes (which consume through step_planned_) de-interleave
-  // into plan_.
+  // Vector-packet lanes skip the NoisePlan arrays: fuse_shared_packet_plans_
+  // writes their scaled values straight into the transposed buffers. Only
+  // width-1 lanes (whose views read plan_ in place) de-interleave into it.
   for (std::size_t j = 0; j < fill_lanes_.size(); ++j) {
     const std::size_t k = fill_lanes_[j];
     if (lane_packet_[k] != kNoPacket) continue;
-    lanes_[k].build_shared_plan_(frame, inputs_[k].sigma_u, inputs_[k].ktc,
-                                 fill_dests_[j]);
+    lanes_[k].build_shared_plan_(frame, inputs_[k].sigma_u, fill_dests_[j],
+                                 lanes_[k].own_shared_dest_());
   }
   fuse_shared_packet_plans_(frame);
 
@@ -284,10 +211,8 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
     for (std::size_t k = 0; k < K; ++k) {
       if (!enabled_[k]) continue;
       DeltaSigmaModulator& lane = lanes_[k];
-      const bool on = stage == 1
-                          ? lane.flicker_scale1_ > 0.0
-                          : (lane.config_.order == 2 && lane.flicker_scale2_ > 0.0);
-      if (!on) continue;
+      const std::uint32_t on = stage == 1 ? bankkernel::kFl1 : bankkernel::kFl2;
+      if ((lane.kernel_branches_() & on) == 0) continue;
       PinkNoise& flicker = stage == 1 ? lane.flicker1_ : lane.flicker2_;
       fill_rngs_.push_back(&flicker.noise_stream());
       fill_dests_.push_back(flicker_raw_.data() + k * kFrame);
@@ -298,15 +223,10 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
                              fill_ns_.data(), fill_rngs_.size());
     for (std::size_t j = 0; j < fill_lanes_.size(); ++j) {
       DeltaSigmaModulator& lane = lanes_[fill_lanes_[j]];
-      if (stage == 1) {
-        lane.flicker1_.fill_next_from(fill_dests_[j], lane.plan_.flick1.data(),
-                                      frame);
-        lane.apply_flicker_scale1_(frame);
-      } else {
-        lane.flicker2_.fill_next_from(fill_dests_[j], lane.plan_.flick2.data(),
-                                      frame);
-        lane.apply_flicker_scale2_(frame);
-      }
+      PinkNoise& flicker = stage == 1 ? lane.flicker1_ : lane.flicker2_;
+      auto& dest = stage == 1 ? lane.plan_.flick1 : lane.plan_.flick2;
+      flicker.fill_next_from(fill_dests_[j], dest.data(), frame);
+      lane.apply_flicker_scale_(stage, frame);
     }
   }
 
@@ -337,8 +257,7 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
     if (lane_packet_[k] != kNoPacket) {
       // Scale in place (the metastable resync regenerates tails from
       // plan_.comp) and write the transposed kernel copy in the same pass.
-      Packet& p = packets_[lane_packet_[k]];
-      double* t = p.comp.data() + lane_slot_[k];
+      double* t = plans_[lane_packet_[k]].comp.data() + lane_slot_[k];
       const std::size_t w_n = width_;
       for (std::size_t i = 0; i < frame; ++i) {
         const double x = 0.0 + sigma * buf[i];
@@ -351,22 +270,22 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
   }
 
   for (std::size_t k = 0; k < K; ++k) {
-    if (enabled_[k]) lanes_[k].finish_plan_(frame, inputs_[k].ktc);
+    if (enabled_[k]) lanes_[k].noise_plan_fills_metric_->add(1);
   }
 }
 
 void ModulatorBank::fuse_shared_packet_plans_(std::size_t frame) {
-  // build_shared_plan_'s de-interleave + per-source affine map, with the
-  // [clock] → [clock][lane] transpose folded in so each value is computed
-  // and stored exactly once. Expressions match the scalar draw sites
-  // verbatim (including the 0.0 + that normalizes −0.0 products), so every
-  // transposed value is bit-identical to the two-pass path it replaces.
+  // build_shared_plan_ with the [clock] → [clock][lane] transpose folded in
+  // (it writes lane slot w at stride width_), so each value is computed and
+  // stored exactly once, bit-identical to the two-pass path it replaces.
+  using bankkernel::kSharedSources;
   const std::size_t w_n = width_;
-  for (Packet& p : packets_) {
-    if (!p.ktc_on && !p.ref_on && !p.op1_on && !p.op2_on) continue;
+  for (TransposedPlans& t : plans_) {
+    const Packet& p = packets_[t.packet];
+    if ((t.branches & kSharedSources) == 0) continue;
 #if defined(TONO_SIMD_AVX2)
-    if (level_ == simd::Level::kAvx2 && p.ktc_on && p.ref_on && p.op1_on &&
-        p.op2_on) {
+    if (level_ == simd::Level::kAvx2 &&
+        (t.branches & kSharedSources) == kSharedSources) {
       bankkernel::SharedFuseJob job;
       for (std::size_t w = 0; w < w_n; ++w) {
         const std::size_t lk = p.lane[w];
@@ -379,31 +298,20 @@ void ModulatorBank::fuse_shared_packet_plans_(std::size_t frame) {
         job.op2_vrms[w] = lane.config_.opamp2.noise_vrms;
         job.scale[w] = lane.config_.loop.state_scale_v;
       }
-      job.ktc = p.ktc.data();
-      job.ref = p.ref.data();
-      job.op1 = p.op1.data();
-      job.op2 = p.op2.data();
+      job.ktc = t.ktc.data();
+      job.ref = t.ref.data();
+      job.op1 = t.op1.data();
+      job.op2 = t.op2.data();
       bankkernel::fuse_shared4_avx2(job, frame);
       continue;
     }
 #endif
     for (std::size_t w = 0; w < w_n; ++w) {
       const std::size_t lk = p.lane[w];
-      const DeltaSigmaModulator& lane = lanes_[lk];
-      const double* raw = shared_raw_.data() + lk * 4 * kFrame;
-      const double su = inputs_[lk].sigma_u;
-      const double rv = lane.config_.ref_noise_vrms;
-      const double vref = lane.config_.vref_v;
-      const double o1 = lane.config_.opamp1.noise_vrms;
-      const double o2 = lane.config_.opamp2.noise_vrms;
-      const double sc = lane.config_.loop.state_scale_v;
-      std::size_t j = 0;
-      for (std::size_t i = 0; i < frame; ++i) {
-        if (p.ktc_on) p.ktc[i * w_n + w] = 0.0 + su * raw[j++];
-        if (p.ref_on) p.ref[i * w_n + w] = (0.0 + rv * raw[j++]) / vref;
-        if (p.op1_on) p.op1[i * w_n + w] = (0.0 + o1 * raw[j++]) / sc;
-        if (p.op2_on) p.op2[i * w_n + w] = (0.0 + o2 * raw[j++]) / sc;
-      }
+      lanes_[lk].build_shared_plan_(
+          frame, inputs_[lk].sigma_u, shared_raw_.data() + lk * 4 * kFrame,
+          {t.ktc.data() + w, t.ref.data() + w, t.op1.data() + w,
+           t.op2.data() + w, w_n});
     }
   }
 }
@@ -416,15 +324,18 @@ void ModulatorBank::transpose_packet_plans_(std::size_t frame) {
   // sources skip entirely (their view pointers are null, like the scalar
   // path's untaken branches).
   const std::size_t w_n = width_;
-  for (Packet& p : packets_) {
-    if (!p.fl1_on && !p.fl2_on) continue;
+  for (TransposedPlans& t : plans_) {
+    const bool fl1 = (t.branches & bankkernel::kFl1) != 0;
+    const bool fl2 = (t.branches & bankkernel::kFl2) != 0;
+    if (!fl1 && !fl2) continue;
+    const Packet& p = packets_[t.packet];
     for (std::size_t w = 0; w < w_n; ++w) {
       const auto& plan = lanes_[p.lane[w]].plan_;
-      if (p.fl1_on) {
-        for (std::size_t i = 0; i < frame; ++i) p.fl1[i * w_n + w] = plan.flick1[i];
+      if (fl1) {
+        for (std::size_t i = 0; i < frame; ++i) t.fl1[i * w_n + w] = plan.flick1[i];
       }
-      if (p.fl2_on) {
-        for (std::size_t i = 0; i < frame; ++i) p.fl2[i * w_n + w] = plan.flick2[i];
+      if (fl2) {
+        for (std::size_t i = 0; i < frame; ++i) t.fl2[i * w_n + w] = plan.flick2[i];
       }
     }
   }
@@ -432,39 +343,27 @@ void ModulatorBank::transpose_packet_plans_(std::size_t frame) {
 
 double ModulatorBank::settle_cb_(void* ctx, std::size_t slot, int stage,
                                  double v) {
-  Packet& p = *static_cast<Packet*>(ctx);
-  DeltaSigmaModulator& lane = p.owner->lanes_[p.lane[slot]];
-  const OpAmp& amp = stage == 1 ? lane.opamp1_ : lane.opamp2_;
-  return amp.settle(v, lane.dt_phase_s_);
+  const TransposedPlans& t = *static_cast<const TransposedPlans*>(ctx);
+  DeltaSigmaModulator& lane =
+      t.owner->lanes_[t.owner->packets_[t.packet].lane[slot]];
+  return DeltaSigmaModulator::settle_escape_(&lane, 0, stage, v);
 }
 
 double ModulatorBank::metastable_cb_(void* ctx, std::size_t slot,
                                      std::size_t clock) {
-  Packet& p = *static_cast<Packet*>(ctx);
-  DeltaSigmaModulator& lane = p.owner->lanes_[p.lane[slot]];
-  const int decision = lane.comparator_.decide_metastable_at(clock);
-  if (p.comp_on) {
+  TransposedPlans& t = *static_cast<TransposedPlans*>(ctx);
+  DeltaSigmaModulator& lane =
+      t.owner->lanes_[t.owner->packets_[t.packet].lane[slot]];
+  const double decision = DeltaSigmaModulator::metastable_escape_(&lane, 0, clock);
+  if ((t.branches & bankkernel::kComp) != 0) {
     // The resync regenerated the lane's linear plan tail (clock+1 …); the
     // kernel reads the transposed copy, so refresh it.
-    const std::size_t w_n = p.owner->width_;
-    for (std::size_t i = clock + 1; i < p.frame_len; ++i) {
-      p.comp[i * w_n + slot] = lane.plan_.comp[i];
+    const std::size_t w_n = t.owner->width_;
+    for (std::size_t i = clock + 1; i < t.frame_len; ++i) {
+      t.comp[i * w_n + slot] = lane.plan_.comp[i];
     }
   }
-  return static_cast<double>(decision);
-}
-
-void ModulatorBank::step_scalar_lanes_(const std::vector<std::size_t>& lanes,
-                                       int* bits_out, std::size_t n_total,
-                                       std::size_t done, std::size_t frame) {
-  if (lanes.empty()) return;
-  // Clock-outer / lane-inner, so the lanes' independent FP chains overlap in
-  // the core instead of serializing (same scheduling the kernel uses).
-  for (std::size_t i = 0; i < frame; ++i) {
-    for (const std::size_t k : lanes) {
-      bits_out[k * n_total + done + i] = lanes_[k].step_planned_(inputs_[k].u);
-    }
-  }
+  return decision;
 }
 
 void ModulatorBank::step_capacitive_block(const double* c_sense_f,
@@ -484,14 +383,20 @@ void ModulatorBank::step_capacitive_block(const double* c_sense_f,
     const std::size_t frame = std::min<std::size_t>(n - done, kFrame);
     fill_lane_plans_(frame);
     transpose_packet_plans_(frame);
+    for (TransposedPlans& t : plans_) t.frame_len = frame;
     for (Packet& p : packets_) {
-      p.frame_len = frame;
-      for (std::size_t w = 0; w < width_; ++w) {
+      for (std::size_t w = 0; w < p.width; ++w) {
         p.bits[w] = bits_out + p.lane[w] * n + done;
       }
     }
-    if (!packets_.empty()) kernel_(views_.data(), views_.size(), frame);
-    step_scalar_lanes_(scalar_lanes_, bits_out, n, done, frame);
+    // Vector packets, then the width-1 ones; each call is clock-outer /
+    // packet-inner, so the independent lanes' chains overlap in the core.
+    const std::size_t n_wide = plans_.size();
+    if (n_wide > 0) kernel_(views_.data(), n_wide, frame);
+    if (views_.size() > n_wide) {
+      bankkernel::run_packets_scalar(views_.data() + n_wide,
+                                     views_.size() - n_wide, frame);
+    }
     done += frame;
   }
   store_packet_state_();

@@ -13,8 +13,10 @@
 // every packet's noise (one Rng::fill_gaussian_multi per source group),
 // transposes the plans to [clock][lane], and runs the width-W step kernel
 // (bank_kernel.hpp). Lanes that don't fill a packet — remainders,
-// heterogeneous structures, or banks built under a scalar dispatch — run the
-// original scalar lockstep.
+// heterogeneous structures, or banks built under a scalar dispatch — run as
+// width-1 packets through the same kernel, reading their own noise plans in
+// place exactly as a solo DeltaSigmaModulator block step does. One kernel at
+// widths 1, 2 and 4; step_normalized is the reference they all match.
 //
 // Lane semantics — the contract tests pin:
 //   * each lane is a full DeltaSigmaModulator with its own config, seed and
@@ -22,10 +24,10 @@
 //   * lane k's bitstream is bit-identical to running that modulator alone
 //     through step_capacitive_block (and therefore to n scalar
 //     step_capacitive calls) — the bank changes scheduling, never values.
-//     This holds under EVERY dispatch level: the vector kernel mirrors
-//     step_planned_ expression for expression using only elementwise IEEE
-//     ops, and the two transcendental paths (op-amp partial settling,
-//     comparator metastability) drop to per-lane scalar callbacks;
+//     This holds under EVERY dispatch level: every width runs the one
+//     kernel, whose ops are all elementwise IEEE, and the two
+//     transcendental paths (op-amp partial settling, comparator
+//     metastability) drop to per-lane scalar callbacks;
 //   * outputs are lane-major: bits_out[k * n + i] is lane k, clock i;
 //   * a disabled lane (set_lane_enabled — element fault masking) is frozen:
 //     not stepped, no noise drawn, its bits region untouched. Re-enabling
@@ -96,51 +98,31 @@ class ModulatorBank {
   /// The SIMD dispatch this bank resolved at construction (fixed for its
   /// lifetime; simd::force_active_level before construction to override).
   [[nodiscard]] simd::Level simd_level() const noexcept { return level_; }
-  /// Kernel lane width (1 = scalar lockstep).
+  /// Widest kernel lane width (1 = every lane a width-1 packet).
   [[nodiscard]] std::size_t simd_width() const noexcept { return width_; }
 
  private:
   static constexpr std::size_t kFrame = DeltaSigmaModulator::NoisePlan::kFrame;
   static constexpr std::size_t kMaxW = bankkernel::kMaxWidth;
 
-  /// W lanes whose configs share one control structure (loop order, settling,
-  /// which noise sources exist — the kernel's per-packet branches), laid out
-  /// SoA. Lane values (seeds, capacitances, magnitudes) are free to differ.
+  /// Lanes the kernel steps together: `width` == width_ for a vector
+  /// packet, 1 for a lane stepped alone. Lanes in one packet share a
+  /// control structure (DeltaSigmaModulator::kernel_branches_); their
+  /// values (seeds, capacitances, magnitudes) are free to differ.
   struct Packet {
+    std::size_t width{1};
     std::array<std::size_t, kMaxW> lane{};  ///< bank lane index per slot
+    /// Per-lane state and invariants, loaded from the lane objects at block
+    /// start and written back at block end (the lane objects stay
+    /// authoritative between blocks, so checkpointing never sees this).
+    bankkernel::LaneSlots slots;
+    std::array<int*, kMaxW> bits{};  ///< per-slot output cursor (per frame)
+  };
 
-    // Per-lane state, loaded from the lane objects at block start and
-    // written back at block end (the lane objects stay authoritative
-    // between blocks, so checkpointing never sees this scratch).
-    alignas(64) std::array<double, kMaxW> x1{};
-    std::array<double, kMaxW> x2{};
-    std::array<double, kMaxW> d{};
-    std::array<double, kMaxW> last{};
-    std::array<double, kMaxW> time_s{};
-    std::array<double, kMaxW> max1{};
-    std::array<double, kMaxW> max2{};
-    std::array<double, kMaxW> clips{};
-
-    // Per-lane invariants (construction-time except u, set per block).
-    alignas(64) std::array<double, kMaxW> u{};
-    std::array<double, kMaxW> g1{};
-    std::array<double, kMaxW> a1{};
-    std::array<double, kMaxW> p2{};
-    std::array<double, kMaxW> a2{};
-    std::array<double, kMaxW> scale{};
-    std::array<double, kMaxW> leak1{};
-    std::array<double, kMaxW> leak2{};
-    std::array<double, kMaxW> swing1{};
-    std::array<double, kMaxW> swing2{};
-    std::array<double, kMaxW> settle1{};
-    std::array<double, kMaxW> settle2{};
-    std::array<double, kMaxW> comp_offset{};
-    std::array<double, kMaxW> comp_halfhyst{};
-    std::array<double, kMaxW> comp_band{};
-    std::array<double, kMaxW> clock_period{};
-
-    // Per-frame noise plans transposed to [clock][lane], stride = the bank's
-    // kernel width (one contiguous vector load per clock per source).
+  /// A vector packet's per-frame noise plans, transposed to [clock][lane]
+  /// with stride width_ (one contiguous vector load per clock per source).
+  /// A width-1 packet needs none: its view reads the lane's plan_ in place.
+  struct TransposedPlans {
     alignas(64) std::array<double, kFrame * kMaxW> ktc{};
     std::array<double, kFrame * kMaxW> ref{};
     std::array<double, kFrame * kMaxW> op1{};
@@ -148,30 +130,15 @@ class ModulatorBank {
     std::array<double, kFrame * kMaxW> op2{};
     std::array<double, kFrame * kMaxW> fl2{};
     std::array<double, kFrame * kMaxW> comp{};
-
-    std::array<int*, kMaxW> bits{};  ///< per-slot output cursor (per frame)
-
-    // Control structure shared by every lane in the packet.
-    bool order2{true};
-    bool settling{true};
-    bool ktc_on{false};
-    bool ref_on{false};
-    bool op1_on{false};
-    bool fl1_on{false};
-    bool op2_on{false};
-    bool fl2_on{false};
-    bool comp_on{false};
-
-    std::size_t frame_len{0};  ///< current frame length (metastable resync)
+    std::uint32_t branches{0};  ///< the packet's shared kernel_branches_()
+    std::size_t packet{0};      ///< index into packets_
+    std::size_t frame_len{0};   ///< current frame length (metastable resync)
     ModulatorBank* owner{nullptr};
   };
 
-  /// Control-structure key: lanes group into a packet iff equal. Matches the
-  /// kernel's per-packet branch set exactly.
-  [[nodiscard]] std::uint32_t structure_key_(std::size_t k) const noexcept;
-
   void init_metrics_();
-  /// Regroups enabled lanes into packets of width_ + scalar remainder.
+  /// Regroups enabled lanes into vector packets of width_ (first) and
+  /// width-1 packets (the rest), and builds their kernel views.
   void rebuild_packets_();
   /// Loads lane state/invariants into the packets at block start.
   void load_packet_state_();
@@ -181,22 +148,20 @@ class ModulatorBank {
   /// pieces, with each source group's Gaussian draws batched across lanes
   /// through Rng::fill_gaussian_multi (bit-identical per stream).
   void fill_lane_plans_(std::size_t frame);
-  /// Shared-stream de-interleave + scale for packet lanes, written straight
-  /// into the transposed packet buffers (the per-lane NoisePlan arrays are
-  /// only materialized for scalar-stepped lanes). AVX2 banks with all four
-  /// shared sources enabled take the fused 4×4-transpose kernel.
+  /// Shared-stream de-interleave + scale for vector-packet lanes, written
+  /// straight into the transposed buffers (the per-lane NoisePlan arrays are
+  /// only materialized for width-1 lanes). AVX2 banks with all four shared
+  /// sources enabled take the fused 4×4-transpose kernel.
   void fuse_shared_packet_plans_(std::size_t frame);
-  /// Copies the packets' lanes' remaining plan-sourced arrays (flicker) into
-  /// the transposed buffers. The shared sources and comparator noise are
-  /// written transposed at generation time and never pass through here.
+  /// Copies the vector packets' lanes' remaining plan-sourced arrays
+  /// (flicker) into the transposed buffers. The shared sources and
+  /// comparator noise are written transposed at generation time and never
+  /// pass through here.
   void transpose_packet_plans_(std::size_t frame);
-  /// Original clock-outer / lane-inner scalar lockstep over `lanes`.
-  void step_scalar_lanes_(const std::vector<std::size_t>& lanes, int* bits_out,
-                          std::size_t n_total, std::size_t done,
-                          std::size_t frame);
 
-  // Masked scalar escapes for the vector kernel (bank_kernel.hpp): `ctx` is
-  // the Packet, `slot` the lane's index within it.
+  // Masked scalar escapes for the vector packets (bank_kernel.hpp): `ctx`
+  // is the TransposedPlans, `slot` the lane's index within the packet.
+  // Width-1 packets use the lane's own DeltaSigmaModulator escapes.
   static double settle_cb_(void* ctx, std::size_t slot, int stage, double v);
   static double metastable_cb_(void* ctx, std::size_t slot, std::size_t clock);
 
@@ -204,18 +169,22 @@ class ModulatorBank {
   std::vector<DeltaSigmaModulator::CapacitiveInput> inputs_;  ///< scratch
   std::vector<std::uint8_t> enabled_;
 
-  // Kernel dispatch, resolved once at construction.
+  // Kernel dispatch, resolved once at construction: kernel_ runs the vector
+  // packets (nullptr when width_ == 1); width-1 packets always run through
+  // bankkernel::run_packets_scalar.
   simd::Level level_{simd::Level::kScalar};
   std::size_t width_{1};
   void (*kernel_)(bankkernel::PacketView*, std::size_t, std::size_t){nullptr};
 
-  // Packet layout (lazy: rebuilt when the enable mask changes).
+  // Packet layout (lazy: rebuilt when the enable mask changes). packets_ and
+  // views_ run parallel: the first plans_.size() entries are the vector
+  // packets (plans_[i] belongs to packets_[i]), the rest are width 1.
   bool packets_dirty_{true};
   std::vector<Packet> packets_;
-  std::vector<std::size_t> scalar_lanes_;  ///< enabled lanes outside packets
+  std::vector<TransposedPlans> plans_;
   std::vector<bankkernel::PacketView> views_;
   static constexpr std::size_t kNoPacket = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> lane_packet_;  ///< packet index or kNoPacket
+  std::vector<std::size_t> lane_packet_;  ///< vector packet or kNoPacket
   std::vector<std::size_t> lane_slot_;    ///< slot within that packet
 
   // Batched-fill scratch (sized at construction).

@@ -1,5 +1,7 @@
 #include "src/core/pipeline.hpp"
 
+#include <cmath>
+
 #include "src/common/checkpoint.hpp"
 
 namespace tono::core {
@@ -167,7 +169,11 @@ void AcquisitionPipeline::serialize(CheckpointWriter& out) const {
 
 void AcquisitionPipeline::restore(CheckpointReader& in) {
   in.section("pipeline");
-  config_.modulator.c_fb1_f = in.f64();
+  const double c_fb1_f = in.f64();
+  if (!std::isfinite(c_fb1_f) || c_fb1_f <= 0.0) {
+    throw CheckpointError{"pipeline checkpoint C_fb1 is not finite and > 0"};
+  }
+  config_.modulator.c_fb1_f = c_fb1_f;
   array_.restore(in);
   mux_.restore(in);
   modulator_.restore(in);

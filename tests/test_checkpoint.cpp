@@ -7,15 +7,21 @@
 // runs under the CI TSan job.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/analog/comparator.hpp"
+#include "src/analog/modulator.hpp"
 #include "src/bio/pulse_generator.hpp"
 #include "src/common/checkpoint.hpp"
 #include "src/common/pink_noise.hpp"
 #include "src/common/rng.hpp"
+#include "src/core/chip_config.hpp"
+#include "src/core/pipeline.hpp"
 #include "src/fleet/fleet_scheduler.hpp"
 
 namespace {
@@ -124,6 +130,138 @@ TEST(Checkpoint, CorruptingAnyByteFailsLoudly) {
         },
         CheckpointError)
         << "corrupting byte " << i << " was accepted";
+  }
+}
+
+// The 8-byte little-endian payload word at `offset` (past the frame header).
+constexpr std::size_t kFrameHeaderBytes = 24;  // magic, version, length, FNV-1a
+
+std::uint64_t payload_word(const std::vector<std::uint8_t>& blob,
+                           std::size_t offset) {
+  std::uint64_t v = 0;
+  for (std::size_t b = 0; b < 8; ++b) {
+    v |= std::uint64_t{blob.at(kFrameHeaderBytes + offset + b)} << (8 * b);
+  }
+  return v;
+}
+
+// Re-frames `blob` with the payload word at `offset` replaced by `value`,
+// under a fresh, valid checksum: a blob that passes every framing check and
+// carries exactly one implausible field.
+std::vector<std::uint8_t> with_payload_word(const std::vector<std::uint8_t>& blob,
+                                            std::size_t offset,
+                                            std::uint64_t value) {
+  const std::uint32_t version = CheckpointReader{blob}.schema_version();
+  CheckpointWriter out;
+  for (std::size_t i = kFrameHeaderBytes; i < blob.size(); ++i) {
+    const std::size_t j = i - kFrameHeaderBytes;
+    out.u8(j >= offset && j < offset + 8
+               ? static_cast<std::uint8_t>(value >> (8 * (j - offset)))
+               : blob[i]);
+  }
+  return out.finish(version);
+}
+
+std::vector<std::uint8_t> modulator_blob() {
+  analog::DeltaSigmaModulator mod{analog::ModulatorConfig{}};
+  std::vector<int> bits(300);
+  mod.step_capacitive_block(104e-15, 100e-15, bits.data(), bits.size());
+  CheckpointWriter out;
+  mod.serialize(out);
+  return out.finish(1);
+}
+
+void restore_modulator(const std::vector<std::uint8_t>& blob) {
+  CheckpointReader in{blob};
+  in.require_version(1);
+  analog::DeltaSigmaModulator mod{analog::ModulatorConfig{}};
+  mod.restore(in);
+  in.expect_end();
+}
+
+// Modulator payload: section tag (4 bytes), then C_fb1, x1, x2 and the
+// output bit, 8 bytes each; the comparator's section closes the blob with
+// its hysteresis memory. Each restored value becomes a ±1 double (or the
+// full-scale divisor) inside the block kernel, so a blob with a valid
+// checksum but an impossible value must fail loudly, not emit wrong codes.
+constexpr std::size_t kModCfb1Offset = 4;
+constexpr std::size_t kModBitOffset = 4 + 3 * 8;
+
+TEST(Checkpoint, ModulatorRestoreRejectsNonBipolarBit) {
+  const auto blob = modulator_blob();
+  const auto bit = static_cast<std::int64_t>(payload_word(blob, kModBitOffset));
+  ASSERT_TRUE(bit == 1 || bit == -1);  // the offset really is the bit
+  EXPECT_NO_THROW(restore_modulator(with_payload_word(blob, kModBitOffset,
+                                                      static_cast<std::uint64_t>(bit))));
+  for (const std::int64_t bad : {std::int64_t{3}, std::int64_t{0}, std::int64_t{-2}}) {
+    EXPECT_THROW(restore_modulator(with_payload_word(
+                     blob, kModBitOffset, static_cast<std::uint64_t>(bad))),
+                 CheckpointError)
+        << "bit " << bad << " was accepted";
+  }
+}
+
+TEST(Checkpoint, ModulatorRestoreRejectsNonBipolarComparatorMemory) {
+  const auto blob = modulator_blob();
+  const std::size_t last_offset = blob.size() - kFrameHeaderBytes - 8;
+  const auto last = static_cast<std::int64_t>(payload_word(blob, last_offset));
+  ASSERT_TRUE(last == 1 || last == -1);
+  EXPECT_THROW(restore_modulator(with_payload_word(blob, last_offset, 3)),
+               CheckpointError);
+}
+
+TEST(Checkpoint, ComparatorRestoreRejectsNonBipolarMemory) {
+  analog::Comparator original{analog::ComparatorConfig{}, Rng{5}};
+  (void)original.decide(-0.3);
+  CheckpointWriter out;
+  original.serialize(out);
+  const auto blob = out.finish(1);
+  const std::size_t last_offset = blob.size() - kFrameHeaderBytes - 8;
+  ASSERT_EQ(static_cast<std::int64_t>(payload_word(blob, last_offset)), -1);
+  auto restore = [](const std::vector<std::uint8_t>& b) {
+    CheckpointReader in{b};
+    in.require_version(1);
+    analog::Comparator cmp{analog::ComparatorConfig{}, Rng{5}};
+    cmp.restore(in);
+    in.expect_end();
+  };
+  EXPECT_NO_THROW(restore(blob));
+  EXPECT_THROW(restore(with_payload_word(blob, last_offset, 3)), CheckpointError);
+  EXPECT_THROW(restore(with_payload_word(blob, last_offset, 0)), CheckpointError);
+}
+
+TEST(Checkpoint, ModulatorRestoreRejectsBadFeedbackCapacitor) {
+  const auto blob = modulator_blob();
+  ASSERT_EQ(std::bit_cast<double>(payload_word(blob, kModCfb1Offset)), 25e-15);
+  for (const double bad : {0.0, -25e-15, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(restore_modulator(with_payload_word(
+                     blob, kModCfb1Offset, std::bit_cast<std::uint64_t>(bad))),
+                 CheckpointError)
+        << "C_fb1 " << bad << " was accepted";
+  }
+}
+
+TEST(Checkpoint, PipelineRestoreRejectsBadFeedbackCapacitor) {
+  // Pipeline payload: section tag, then its own copy of C_fb1.
+  const core::ChipConfig chip = core::ChipConfig::paper_chip();
+  core::AcquisitionPipeline original{chip};
+  CheckpointWriter out;
+  original.serialize(out);
+  const auto blob = out.finish(1);
+  ASSERT_EQ(std::bit_cast<double>(payload_word(blob, 4)), chip.modulator.c_fb1_f);
+  auto restore = [&chip](const std::vector<std::uint8_t>& b) {
+    CheckpointReader in{b};
+    in.require_version(1);
+    core::AcquisitionPipeline pipe{chip};
+    pipe.restore(in);
+    in.expect_end();
+  };
+  EXPECT_NO_THROW(restore(blob));
+  for (const double bad : {-1e-15, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(restore(with_payload_word(blob, 4, std::bit_cast<std::uint64_t>(bad))),
+                 CheckpointError)
+        << "C_fb1 " << bad << " was accepted";
   }
 }
 

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 namespace tono::analog {
 namespace {
 
@@ -83,8 +87,12 @@ TEST(Comparator, LastDecisionTracks) {
   EXPECT_EQ(cmp.last_decision(), -1);
 }
 
-// decide_planned must be bit-identical to decide for any input sequence —
-// including when metastable events force the plan to resync mid-frame.
+// A planned block must be bit-identical to decide for any input sequence —
+// including when metastable events force the plan to resync mid-frame. The
+// block kernel (bank_kernel.hpp) decides from plan() noise with the same
+// expression decide() uses, keeps the hysteresis memory itself, and hands
+// in-band decisions to decide_metastable_at(i); this drives exactly that
+// protocol, so the resync stays unit-tested on its own.
 void expect_planned_matches_scalar(const ComparatorConfig& c,
                                    std::uint64_t seed, int frames,
                                    std::size_t frame_len) {
@@ -94,11 +102,21 @@ void expect_planned_matches_scalar(const ComparatorConfig& c,
   tono::Rng inputs{seed ^ 0xABCDu};
   for (int f = 0; f < frames; ++f) {
     planned.plan(noise.data(), frame_len);
+    int last = planned.last_decision();
     for (std::size_t i = 0; i < frame_len; ++i) {
-      const double v = inputs.uniform(-0.2, 0.2);
-      ASSERT_EQ(scalar.decide(v), planned.decide_planned(v))
-          << "frame=" << f << " i=" << i;
+      const double input = inputs.uniform(-0.2, 0.2);
+      double v = input - c.offset_v;
+      if (c.noise_vrms > 0.0) v += noise[i];
+      v -= 0.5 * c.hysteresis_v * static_cast<double>(-last);
+      if (std::abs(v) < c.metastable_band_v) {
+        last = planned.decide_metastable_at(i);
+      } else {
+        last = v >= 0.0 ? 1 : -1;
+      }
+      ASSERT_EQ(scalar.decide(input), last) << "frame=" << f << " i=" << i;
     }
+    planned.set_last_decision(last);
+    ASSERT_EQ(scalar.last_decision(), planned.last_decision()) << "frame=" << f;
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -336,6 +337,17 @@ TEST(Modulator, RejectsBadConfig) {
   EXPECT_THROW((DeltaSigmaModulator{bad3}), std::invalid_argument);
 }
 
+TEST(Modulator, SetFeedbackCapacitorRejectsNonFiniteAndNonPositive) {
+  DeltaSigmaModulator mod{ModulatorConfig{}};
+  for (const double bad : {0.0, -5e-15, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(mod.set_feedback_capacitor(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(mod.config().c_fb1_f, ModulatorConfig{}.c_fb1_f);  // untouched
+  mod.set_feedback_capacitor(12.5e-15);
+  EXPECT_EQ(mod.config().c_fb1_f, 12.5e-15);
+}
+
 // Property: SNR grows ≈ 15 dB per OSR doubling (2nd-order law) until the
 // 12-bit output word dominates.
 class OsrSweepTest : public ::testing::TestWithParam<std::size_t> {};
@@ -380,9 +392,10 @@ INSTANTIATE_TEST_SUITE_P(Osrs, OsrSweepTest, ::testing::Values(32u, 64u, 128u, 2
 // step_capacitive_block (the noise-plan path) must be bit-identical to n
 // scalar step_capacitive calls — across every noise source, including the
 // plan's hardest cases: flicker streams, comparator metastable resyncs, and
-// frame lengths that are not a multiple of the plan size.
+// frame lengths that are not a multiple of the plan size. `expect_clipping`
+// additionally pins that the input overloads the loop.
 void expect_block_matches_scalar(const ModulatorConfig& c, double c_sense_f,
-                                 std::size_t n) {
+                                 std::size_t n, bool expect_clipping = false) {
   DeltaSigmaModulator scalar{c};
   DeltaSigmaModulator block{c};
   const double c_ref = c.c_ref_f;
@@ -397,6 +410,7 @@ void expect_block_matches_scalar(const ModulatorConfig& c, double c_sense_f,
   EXPECT_EQ(scalar.clip_count(), block.clip_count());
   EXPECT_EQ(scalar.max_state1_v(), block.max_state1_v());
   EXPECT_EQ(scalar.max_state2_v(), block.max_state2_v());
+  if (expect_clipping) EXPECT_GT(block.clip_count(), 0u);
   // The generators must also land in the same state: continuing scalar on
   // both instances stays in lockstep.
   for (int i = 0; i < 256; ++i) {
@@ -440,6 +454,16 @@ TEST(ModulatorBlock, MatchesScalarFirstOrderLoop) {
   c.order = 1;
   c.opamp1.flicker_corner_hz = 2000.0;
   expect_block_matches_scalar(c, 90e-15, 384);
+}
+
+TEST(ModulatorBlock, MatchesScalarWhileClipping) {
+  // ΔC = 40 fF against the 25 fF full scale overloads the loop: both
+  // integrators hit their swing limits, so the kernel's clip select and its
+  // clip accumulator are exercised, not just carried along at zero.
+  expect_block_matches_scalar(ModulatorConfig{}, 140e-15, 640, true);
+  ModulatorConfig first;
+  first.order = 1;
+  expect_block_matches_scalar(first, 140e-15, 384, true);
 }
 
 TEST(ModulatorBlock, MatchesScalarWithSlowAmpPartialSettling) {

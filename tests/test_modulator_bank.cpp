@@ -37,6 +37,9 @@ void expect_lanes_match_solo(const std::vector<ModulatorConfig>& configs,
     EXPECT_EQ(solo.integrator1_v(), bank.lane(k).integrator1_v()) << k;
     EXPECT_EQ(solo.integrator2_v(), bank.lane(k).integrator2_v()) << k;
     EXPECT_EQ(solo.time_s(), bank.lane(k).time_s()) << k;
+    EXPECT_EQ(solo.clip_count(), bank.lane(k).clip_count()) << k;
+    EXPECT_EQ(solo.max_state1_v(), bank.lane(k).max_state1_v()) << k;
+    EXPECT_EQ(solo.max_state2_v(), bank.lane(k).max_state2_v()) << k;
   }
 }
 
@@ -228,6 +231,32 @@ TEST(ModulatorBank, VectorAndForcedScalarBanksBitIdentical) {
     EXPECT_EQ(vec_bank.lane(k).integrator1_v(), sc_bank.lane(k).integrator1_v());
     EXPECT_EQ(vec_bank.lane(k).integrator2_v(), sc_bank.lane(k).integrator2_v());
     EXPECT_EQ(vec_bank.lane(k).time_s(), sc_bank.lane(k).time_s());
+  }
+}
+
+TEST(ModulatorBank, OverloadedFiveLaneBankMatchesSoloUnderEveryDispatch) {
+  // Five lanes: under AVX2 one 4-wide packet plus one width-1 lane, under
+  // NEON two 2-wide packets plus one, under the scalar dispatch five width-1
+  // lanes. Lanes 0 and 4 are overloaded (ΔC = 40 fF and 45 fF against the
+  // 25 fF full scale), so the clip accumulator is pinned both inside a
+  // vector packet and on the width-1 remainder path.
+  const std::size_t lanes = 5;
+  std::vector<ModulatorConfig> configs(lanes);
+  for (std::size_t k = 0; k < lanes; ++k) configs[k].seed = 5150 + 31 * k;
+  const std::vector<double> c_sense{140e-15, 96e-15, 104e-15, 99e-15, 145e-15};
+  const std::vector<double> c_ref(lanes, 100e-15);
+  const simd::Level ambient = simd::active_level();
+  for (const simd::Level level : {ambient, simd::Level::kScalar}) {
+    simd::force_active_level(level);
+    expect_lanes_match_solo(configs, c_sense, c_ref, 640);
+    ModulatorBank bank{configs};
+    simd::force_active_level(ambient);
+    EXPECT_EQ(bank.simd_level(), level);
+    std::vector<int> bits(lanes * 640);
+    bank.step_capacitive_block(c_sense.data(), c_ref.data(), bits.data(), 640);
+    EXPECT_GT(bank.lane(0).clip_count(), 0u) << simd::level_name(level);
+    EXPECT_GT(bank.lane(4).clip_count(), 0u) << simd::level_name(level);
+    EXPECT_EQ(bank.lane(1).clip_count(), 0u) << simd::level_name(level);
   }
 }
 
