@@ -1,13 +1,11 @@
-// session_mix.hpp — the admission mix shared by ward_server and
-// gateway_server. Both binaries must admit byte-identical session configs
-// for the same (index, flags), because CI diffs their hospital snapshots:
-// a loopback-gateway run must be bit-identical to a direct-ingest run
-// (docs/GATEWAY.md "Determinism contract").
+// session_mix.hpp — the admission mix of ward_server. Every --transport
+// admits byte-identical session configs for the same (index, flags), because
+// CI diffs their hospital snapshots: a gateway-fed run must be bit-identical
+// to a direct-ingest run (docs/GATEWAY.md "Determinism contract"). The end-
+// to-end benchmark admits the same mix.
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
-#include <string>
 
 #include "src/bio/pulse_generator.hpp"
 #include "src/fleet/patient_session.hpp"
@@ -46,48 +44,6 @@ inline const char* mix_label(std::size_t index) {
     case 4: return "exercise";
   }
   return "rest";
-}
-
-/// "--fault-plan contact=1,link=1,element=1[,unrecoverable=0.1]": per-session
-/// event counts (and the unrecoverable probability) of the seeded schedule
-/// each session generates from its own forked fault stream.
-inline bool parse_fault_plan(const std::string& spec, fleet::FaultPlanConfig* plan,
-                             std::string* error) {
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string item =
-        spec.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= item.size()) {
-      *error = "--fault-plan: expected key=value, got '" + item + "'";
-      return false;
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string val = item.substr(eq + 1);
-    char* end = nullptr;
-    const double v = std::strtod(val.c_str(), &end);
-    if (end == val.c_str() || *end != '\0' || v < 0.0) {
-      *error = "--fault-plan: bad value in '" + item + "'";
-      return false;
-    }
-    if (key == "contact") {
-      plan->contact_loss_events = static_cast<std::size_t>(v);
-    } else if (key == "link") {
-      plan->link_bursts = static_cast<std::size_t>(v);
-    } else if (key == "element") {
-      plan->element_faults = static_cast<std::size_t>(v);
-    } else if (key == "unrecoverable") {
-      plan->unrecoverable_prob = v;
-    } else {
-      *error = "--fault-plan: unknown key '" + key +
-               "' (want contact, link, element, unrecoverable)";
-      return false;
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return true;
 }
 
 }  // namespace tono::examples

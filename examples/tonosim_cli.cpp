@@ -42,17 +42,19 @@ int write_metrics_snapshot(const std::string& path) {
 
 int cmd_monitor(int argc, const char* const* argv) {
   ArgParser args{"tonosim_cli monitor", "run a full monitoring session"};
-  args.add_double("duration", "monitoring duration [s]", 30.0);
+  args.add_double("duration", "monitoring duration [s]", 30.0, {.min = 0});
   args.add_double("sys", "patient systolic [mmHg]", 120.0);
   args.add_double("dia", "patient diastolic [mmHg]", 80.0);
-  args.add_double("hr", "heart rate [bpm]", 72.0);
+  // The pulse generator's plausible range.
+  args.add_double("hr", "heart rate [bpm]", 72.0, {.above = 20, .max = 250});
   args.add_flag("artifacts", "enable motion artefacts");
   args.add_flag("thermal", "enable body-contact thermal drift");
   args.add_string("csv", "write the calibrated waveform to this CSV file", "");
   args.add_string("metrics", "write a JSONL runtime-metrics snapshot to this file", "");
-  if (!args.parse(argc, argv)) {
-    std::cerr << (args.help_requested() ? args.help_text() : args.error() + "\n");
-    return args.help_requested() ? 0 : 2;
+  if (const auto exit = args.parse_or_exit(argc, argv)) return *exit;
+  if (!(args.double_value("sys") > args.double_value("dia"))) {
+    std::cerr << "--sys must exceed --dia\n";
+    return 2;
   }
 
   core::WristModel wrist;
@@ -98,10 +100,7 @@ int cmd_adc(int argc, const char* const* argv) {
   args.add_double("amp-dbfs", "input amplitude [dBFS]", -2.0);
   args.add_double("freq", "target input frequency [Hz]", 15.625);
   args.add_string("metrics", "write a JSONL runtime-metrics snapshot to this file", "");
-  if (!args.parse(argc, argv)) {
-    std::cerr << (args.help_requested() ? args.help_text() : args.error() + "\n");
-    return args.help_requested() ? 0 : 2;
-  }
+  if (const auto exit = args.parse_or_exit(argc, argv)) return *exit;
   analog::ModulatorConfig mc;
   analog::DeltaSigmaModulator mod{mc};
   dsp::DecimationChain chain{dsp::DecimationConfig{}};
@@ -128,10 +127,7 @@ int cmd_adc(int argc, const char* const* argv) {
 int cmd_membrane(int argc, const char* const* argv) {
   ArgParser args{"tonosim_cli membrane", "transducer operating point"};
   args.add_double("pressure-kpa", "contact pressure [kPa]", 10.0);
-  if (!args.parse(argc, argv)) {
-    std::cerr << (args.help_requested() ? args.help_text() : args.error() + "\n");
-    return args.help_requested() ? 0 : 2;
-  }
+  if (const auto exit = args.parse_or_exit(argc, argv)) return *exit;
   const mems::PressureTransducer t{mems::TransducerConfig{}};
   const double p = units::kpa_to_pa(args.double_value("pressure-kpa"));
   std::cout << "pressure: " << units::pa_to_mmhg(p) << " mmHg\n"
@@ -145,12 +141,9 @@ int cmd_membrane(int argc, const char* const* argv) {
 int cmd_localize(int argc, const char* const* argv) {
   ArgParser args{"tonosim_cli localize", "array scan over a displaced artery"};
   args.add_double("offset-mm", "device placement offset [mm]", 0.0);
-  args.add_int("cols", "array columns", 8);
+  args.add_int("cols", "array columns", 8, {.min = 1});
   args.add_string("metrics", "write a JSONL runtime-metrics snapshot to this file", "");
-  if (!args.parse(argc, argv)) {
-    std::cerr << (args.help_requested() ? args.help_text() : args.error() + "\n");
-    return args.help_requested() ? 0 : 2;
-  }
+  if (const auto exit = args.parse_or_exit(argc, argv)) return *exit;
   auto chip = core::ChipConfig::paper_chip();
   chip.array.rows = 1;
   chip.array.cols = static_cast<std::size_t>(args.int_value("cols"));

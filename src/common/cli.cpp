@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,40 +12,53 @@ namespace tono {
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
 
-void ArgParser::add(const std::string& name, Kind kind, const std::string& help,
-                    std::optional<std::string> default_value) {
+void ArgParser::add(const std::string& name, Option option) {
   if (options_.count(name) != 0) {
     throw std::invalid_argument{"ArgParser: duplicate option --" + name};
   }
-  options_[name] = Option{kind, help, std::move(default_value), std::nullopt};
+  if (option.default_value) {
+    const std::string broken = rule_error(name, option, *option.default_value);
+    if (!broken.empty()) throw std::logic_error{"ArgParser: default breaks " + broken};
+  }
+  options_[name] = std::move(option);
   order_.push_back(name);
 }
 
 void ArgParser::add_flag(const std::string& name, const std::string& help) {
-  add(name, Kind::kFlag, help, std::nullopt);
+  add(name, Option{Kind::kFlag, help, std::nullopt, std::nullopt, {}, {}});
 }
 
 void ArgParser::add_string(const std::string& name, const std::string& help,
-                           std::optional<std::string> default_value) {
-  add(name, Kind::kString, help, std::move(default_value));
+                           std::optional<std::string> default_value,
+                           std::vector<std::string> choices) {
+  add(name, Option{Kind::kString, help, std::move(default_value), std::nullopt, {},
+                   std::move(choices)});
 }
 
 void ArgParser::add_double(const std::string& name, const std::string& help,
-                           std::optional<double> default_value) {
+                           std::optional<double> default_value, FlagBounds bounds) {
   std::optional<std::string> def;
   if (default_value) {
     std::ostringstream oss;
     oss << *default_value;
     def = oss.str();
   }
-  add(name, Kind::kDouble, help, std::move(def));
+  add(name, Option{Kind::kDouble, help, std::move(def), std::nullopt, bounds, {}});
 }
 
 void ArgParser::add_int(const std::string& name, const std::string& help,
-                        std::optional<long> default_value) {
+                        std::optional<long> default_value, FlagBounds bounds) {
   std::optional<std::string> def;
   if (default_value) def = std::to_string(*default_value);
-  add(name, Kind::kInt, help, std::move(def));
+  add(name, Option{Kind::kInt, help, std::move(def), std::nullopt, bounds, {}});
+}
+
+void ArgParser::needs(const std::string& option, const std::string& prerequisite) {
+  cross_rules_.push_back(CrossRule{false, option, prerequisite});
+}
+
+void ArgParser::excludes(const std::string& a, const std::string& b) {
+  cross_rules_.push_back(CrossRule{true, a, b});
 }
 
 bool ArgParser::parse(int argc, const char* const* argv) {
@@ -115,7 +129,75 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       return false;
     }
   }
+  // Rules judge the final values, so a later repeat of a flag overrides an
+  // earlier bad one, exactly as it overrides its value.
+  for (const auto& name : order_) {
+    const Option& opt = options_.at(name);
+    if (opt.value) error_ = rule_error(name, opt, *opt.value);
+    if (!error_.empty()) return false;
+  }
+  for (const auto& rule : cross_rules_) {
+    const bool a = engaged_(options_.at(rule.a));
+    const bool b = engaged_(options_.at(rule.b));
+    if (rule.exclusive && a && b) {
+      error_ = spelled_(rule.a) + " and " + spelled_(rule.b) + " are mutually exclusive";
+      return false;
+    }
+    if (!rule.exclusive && a && !b) {
+      const auto& fallback = options_.at(rule.b).default_value;
+      error_ = spelled_(rule.a) + " requires --" + rule.b;
+      if (fallback && !fallback->empty()) error_ += " other than '" + *fallback + "'";
+      return false;
+    }
+  }
   return true;
+}
+
+std::optional<int> ArgParser::parse_or_exit(int argc, const char* const* argv) {
+  if (parse(argc, argv)) return std::nullopt;
+  std::cerr << (help_requested_ ? help_text() : error_ + "\n");
+  return help_requested_ ? 0 : 2;
+}
+
+std::string ArgParser::rule_error(const std::string& name, const Option& opt,
+                                  const std::string& value) {
+  if (!opt.choices.empty()) {
+    std::string allowed;
+    for (const auto& choice : opt.choices) {
+      if (choice == value) return "";
+      allowed += (allowed.empty() ? "" : "|") + choice;
+    }
+    return "--" + name + " must be one of " + allowed + " (got '" + value + "')";
+  }
+  // Values reaching here passed their kind's syntax check.
+  const double v = std::strtod(value.c_str(), nullptr);
+  const FlagBounds& b = opt.bounds;
+  std::ostringstream oss;
+  oss << "--" << name;
+  if (b.min && !(v >= *b.min)) {
+    oss << " must be >= " << *b.min;
+  } else if (b.above && !(v > *b.above)) {
+    oss << " must be > " << *b.above;
+  } else if (b.max && !(v <= *b.max)) {
+    oss << " must be <= " << *b.max;
+  } else {
+    return "";
+  }
+  oss << " (got " << value << ")";
+  return oss.str();
+}
+
+bool ArgParser::engaged_(const Option& opt) const {
+  if (!opt.value) return false;
+  if (!opt.default_value) return true;
+  if (opt.kind == Kind::kString) return *opt.value != *opt.default_value;
+  return std::strtod(opt.value->c_str(), nullptr) !=
+         std::strtod(opt.default_value->c_str(), nullptr);
+}
+
+std::string ArgParser::spelled_(const std::string& name) const {
+  const Option& opt = options_.at(name);
+  return opt.kind == Kind::kFlag ? "--" + name : "--" + name + " " + *opt.value;
 }
 
 const ArgParser::Option& ArgParser::option_or_throw(const std::string& name,

@@ -1,7 +1,9 @@
 #include "src/fleet/fault_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "src/common/rng.hpp"
@@ -33,6 +35,52 @@ std::string to_string(FaultKind kind) {
     case FaultKind::kElementFault: return "element-fault";
   }
   return "unknown";
+}
+
+bool parse_fault_plan(const std::string& spec, FaultPlanConfig* plan,
+                      std::string* error) {
+  if (spec.empty()) return true;
+  // One item per comma-separated field, empty ones included.
+  for (std::size_t pos = 0; pos <= spec.size();) {
+    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
+    const std::string item = spec.substr(pos, comma - pos);
+    pos = comma + 1;
+    const std::size_t eq = item.find('=');
+    const std::string key = item.substr(0, std::min(eq, item.size()));
+    const std::string val = eq == std::string::npos ? "" : item.substr(eq + 1);
+    char* end = nullptr;
+    const double v = std::strtod(val.c_str(), &end);
+    if (key.empty() || val.empty() || *end != '\0' || !std::isfinite(v) || v < 0.0) {
+      *error = "--fault-plan: expected key=value with a finite value >= 0, got '" +
+               item + "'";
+      return false;
+    }
+    std::size_t* count = key == "contact"   ? &plan->contact_loss_events
+                         : key == "link"    ? &plan->link_bursts
+                         : key == "element" ? &plan->element_faults
+                                            : nullptr;
+    if (count != nullptr) {
+      // Checked before the cast: a fraction would truncate silently and a
+      // huge value overflow the conversion.
+      if (v != std::floor(v) || v > static_cast<double>(kMaxFaultEventsPerKind)) {
+        *error = "--fault-plan: " + key + " must be a whole count in [0, " +
+                 std::to_string(kMaxFaultEventsPerKind) + "], got '" + val + "'";
+        return false;
+      }
+      *count = static_cast<std::size_t>(v);
+    } else if (key != "unrecoverable") {
+      *error = "--fault-plan: unknown key '" + key +
+               "' (want contact, link, element, unrecoverable)";
+      return false;
+    } else if (v > 1.0) {
+      *error = "--fault-plan: unrecoverable must be a probability in [0, 1], got '" +
+               val + "'";
+      return false;
+    } else {
+      plan->unrecoverable_prob = v;
+    }
+  }
+  return true;
 }
 
 FaultPlan::FaultPlan(const FaultPlanConfig& config, std::uint64_t seed,

@@ -83,6 +83,21 @@ struct FaultPlanConfig {
   }
 };
 
+/// Largest per-kind event count parse_fault_plan() accepts — far beyond any
+/// schedule a monitoring session can play out, far below where a count stops
+/// converting exactly to size_t.
+inline constexpr std::size_t kMaxFaultEventsPerKind = 1000;
+
+/// Parses the ward_server "--fault-plan" spec,
+/// "contact=1,link=1,element=1[,unrecoverable=0.1]": per-session event counts
+/// (and the unrecoverable probability) of the seeded schedule each session
+/// generates from its own forked fault stream. An empty spec is a clean run.
+/// Counts must be whole numbers in [0, kMaxFaultEventsPerKind] and
+/// `unrecoverable` a probability in [0, 1]. A non-finite value, an unknown
+/// key or an empty item returns false with `error` filled.
+bool parse_fault_plan(const std::string& spec, FaultPlanConfig* plan,
+                      std::string* error);
+
 /// The schedule itself: generated from (config, seed, array shape) and/or
 /// hand-written via add(). events() is always sorted by onset (stable order
 /// for ties: generation order, then insertion order).

@@ -1,7 +1,7 @@
 // tcp_transport.hpp — the Fig. 3 link over a real socket.
 //
 // A localhost (or LAN) TCP stream behind the same Transport interface as
-// the in-process loopback, so gateway_server can switch wires with one
+// the in-process loopback, so ward_server can switch wires with one
 // flag and every determinism test keeps passing: TCP preserves byte order
 // and loses nothing, so a clean-wire run is bit-identical to loopback.
 //

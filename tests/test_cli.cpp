@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 namespace tono {
 namespace {
 
@@ -161,6 +166,89 @@ TEST(ArgParser, WrongTypeAccessThrows) {
   EXPECT_THROW((void)p.flag("rate"), std::invalid_argument);
   EXPECT_THROW((void)p.double_value("verbose"), std::invalid_argument);
   EXPECT_THROW((void)p.string_value("missing"), std::invalid_argument);
+}
+
+// Declared flag rules, one case per rule kind. parse() judges the final
+// values and fails with an error naming the flag.
+std::string rule_error(std::vector<const char*> argv) {
+  ArgParser p{"prog"};
+  p.add_int("shards", "shard count", 1, {.min = 1});
+  p.add_double("hr", "heart rate", 72.0, {.above = 20, .max = 250});
+  p.add_string("transport", "wire", "none", {"none", "loopback", "tcp"});
+  p.add_string("checkpoint", "checkpoint file", "");
+  p.add_int("checkpoint-every", "checkpoint period", 0, {.min = 0});
+  p.add_flag("resume", "resume");
+  p.add_string("record", "record dir", "");
+  p.add_string("replay", "replay dir", "");
+  p.needs("checkpoint-every", "checkpoint");
+  p.needs("resume", "checkpoint");
+  p.needs("record", "transport");
+  p.excludes("record", "replay");
+  argv.insert(argv.begin(), "prog");
+  const bool ok = p.parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(ok, p.error().empty());
+  return p.error();
+}
+
+TEST(ArgParserRules, MinBoundsRejectBelowAndAcceptTheBound) {
+  EXPECT_EQ(rule_error({"--shards", "0"}), "--shards must be >= 1 (got 0)");
+  EXPECT_EQ(rule_error({"--shards", "1"}), "");
+  EXPECT_EQ(rule_error({"--hr", "20"}), "--hr must be > 20 (got 20)");  // exclusive
+  EXPECT_EQ(rule_error({"--hr", "20.5"}), "");
+}
+
+TEST(ArgParserRules, MaxBoundRejectsAboveAndAcceptsTheBound) {
+  EXPECT_EQ(rule_error({"--hr", "250.1"}), "--hr must be <= 250 (got 250.1)");
+  EXPECT_EQ(rule_error({"--hr", "250"}), "");
+}
+
+TEST(ArgParserRules, ChoiceRejectsAnUnlistedValue) {
+  EXPECT_EQ(rule_error({"--transport", "carrier-pigeon"}),
+            "--transport must be one of none|loopback|tcp (got 'carrier-pigeon')");
+  EXPECT_EQ(rule_error({"--transport", "tcp"}), "");
+}
+
+TEST(ArgParserRules, NeedsRejectsAnEngagedOptionWithoutItsPrerequisite) {
+  EXPECT_EQ(rule_error({"--checkpoint-every", "1"}),
+            "--checkpoint-every 1 requires --checkpoint");
+  EXPECT_EQ(rule_error({"--resume"}), "--resume requires --checkpoint");
+  EXPECT_EQ(rule_error({"--checkpoint-every", "1", "--checkpoint", "w.ckpt"}), "");
+  // A prerequisite spelled out at its default is not engaged.
+  EXPECT_EQ(rule_error({"--record", "r", "--transport", "none"}),
+            "--record r requires --transport other than 'none'");
+  EXPECT_EQ(rule_error({"--record", "r", "--transport", "tcp"}), "");
+}
+
+TEST(ArgParserRules, ExcludesRejectsBothEngaged) {
+  EXPECT_EQ(rule_error({"--transport", "tcp", "--record", "a", "--replay", "b"}),
+            "--record a and --replay b are mutually exclusive");
+  EXPECT_EQ(rule_error({"--transport", "tcp", "--replay", "b"}), "");
+}
+
+TEST(ArgParserRules, UnsetOrDefaultValuedFlagsTripNoRule) {
+  // Unset flags keep defaults that satisfy their own bounds, and an option
+  // spelled out at its default is not engaged: `--checkpoint-every 0`
+  // without --checkpoint stays valid.
+  EXPECT_EQ(rule_error({}), "");
+  EXPECT_EQ(rule_error({"--checkpoint-every", "0"}), "");
+  EXPECT_EQ(rule_error({"--record", "", "--replay", "b", "--transport", "tcp"}), "");
+  // Rules judge the final value: a later repeat overrides an earlier one.
+  EXPECT_EQ(rule_error({"--shards", "0", "--shards", "2"}), "");
+  // A default that breaks its own rule is a programming error.
+  ArgParser p{"prog"};
+  EXPECT_THROW(p.add_int("n", "count", 0, {.min = 1}), std::logic_error);
+  EXPECT_THROW(p.add_string("s", "choice", "x", {"y", "z"}), std::logic_error);
+}
+
+TEST(ArgParserRules, ParseOrExitMapsHelpAndErrorsToExitStatus) {
+  auto status = [](std::vector<const char*> argv) {
+    ArgParser p{"prog"};
+    p.add_int("shards", "shard count", 1, {.min = 1});
+    return p.parse_or_exit(static_cast<int>(argv.size()), argv.data());
+  };
+  EXPECT_EQ(status({"prog", "--help"}), std::optional<int>{0});
+  EXPECT_EQ(status({"prog", "--shards", "-3"}), std::optional<int>{2});
+  EXPECT_EQ(status({"prog", "--shards", "3"}), std::nullopt);
 }
 
 }  // namespace

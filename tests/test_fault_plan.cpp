@@ -149,6 +149,41 @@ std::vector<std::int16_t> frame_codes(std::size_t frame, std::size_t n) {
   return codes;
 }
 
+// parse_fault_plan: the ward_server --fault-plan spec.
+TEST(FaultPlanParse, AcceptsEveryKeyAndTheEmptySpec) {
+  FaultPlanConfig plan;
+  std::string error;
+  ASSERT_TRUE(fleet::parse_fault_plan("contact=2,link=1,element=3,unrecoverable=0.25",
+                                      &plan, &error));
+  EXPECT_EQ(plan.contact_loss_events, 2u);
+  EXPECT_EQ(plan.link_bursts, 1u);
+  EXPECT_EQ(plan.element_faults, 3u);
+  EXPECT_EQ(plan.unrecoverable_prob, 0.25);
+  for (const std::string spec : {"", "contact=0,unrecoverable=1", "link=1000"}) {
+    EXPECT_TRUE(fleet::parse_fault_plan(spec, &plan, &error)) << spec << ": " << error;
+  }
+}
+
+// Every malformed spec is an error, never a silently adjusted plan.
+class FaultPlanParseRejects : public testing::TestWithParam<const char*> {};
+
+TEST_P(FaultPlanParseRejects, MalformedSpec) {
+  FaultPlanConfig plan;
+  std::string error;
+  EXPECT_FALSE(fleet::parse_fault_plan(GetParam(), &plan, &error));
+  EXPECT_NE(error.find("--fault-plan"), std::string::npos) << error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultPlanParse, FaultPlanParseRejects,
+    testing::Values("contact=nan", "link=inf", "unrecoverable=nan",  // non-finite
+                    "contact=1.7", "element=0.5",  // fractional counts used to truncate
+                    "contact=1e30",  // used to overflow the float→size_t cast
+                    "link=1001", "element=-1",  // outside [0, kMaxFaultEventsPerKind]
+                    "unrecoverable=3", "unrecoverable=-0.1",  // not a probability
+                    "contact=1,", ",contact=1", "contact=1,,link=1",  // empty items
+                    "contact", "contact=", "=1", "contact=1x", "meteor=1"));
+
 TEST(LinkFaultInjector, RejectsInvalidProbabilities) {
   core::LinkFaultConfig negative;
   negative.drop_prob = -0.1;

@@ -1,8 +1,8 @@
 // Gateway mux/demux tests: channel isolation, corruption tolerance, the
 // ≥3-session sequence-wraparound interleaving property, backpressure
 // accounting, metrics on/off bit-exactness, and the headline determinism
-// contract — a loopback-gateway hospital is bit-identical to direct
-// in-process ingest (docs/GATEWAY.md).
+// contract — a hospital fed through HospitalGateway, over loopback or TCP,
+// is bit-identical to direct in-process ingest (docs/GATEWAY.md).
 #include "src/gateway/gateway.hpp"
 
 #include <gtest/gtest.h>
@@ -11,8 +11,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -21,6 +23,7 @@
 #include "src/common/rng.hpp"
 #include "src/core/telemetry.hpp"
 #include "src/fleet/hospital_scheduler.hpp"
+#include "src/gateway/hospital_gateway.hpp"
 #include "src/gateway/tcp_transport.hpp"
 #include "src/gateway/transport.hpp"
 
@@ -353,65 +356,33 @@ TEST(GatewayMetrics, MetricsOnOffIsBitExact) {
   EXPECT_EQ(run(true), run(false));
 }
 
-/// Builds a hospital whose sessions publish through a per-shard gateway wire
-/// (mirrors examples/gateway_server.cpp), runs it, and returns the merged
-/// JSONL snapshot bytes.
-std::string run_gateway_hospital(std::size_t sessions, std::size_t shards,
-                                 double duration_s) {
+/// Runs a 4-session, 2-shard hospital for 1 s and returns the merged JSONL
+/// snapshot bytes. With a wire, the sessions publish through HospitalGateway
+/// — one wire per shard, as `ward_server --transport` serves it; without,
+/// they ingest directly. Throws TransportError when a TCP wire cannot be
+/// set up.
+std::string run_hospital(std::optional<WireKind> wire) {
   fleet::HospitalConfig config;
-  config.shards = shards;
+  config.shards = 2;
   config.threads_per_shard = 1;
   config.base_seed = 77;
   fleet::HospitalScheduler hospital{config};
-  struct ShardWire {
-    std::unique_ptr<LoopbackTransport> wire;
-    std::unique_ptr<GatewayMux> mux;
-    std::unique_ptr<GatewayDemux> demux;
-  };
-  std::vector<ShardWire> wires(shards);
-  for (auto& w : wires) {
-    w.wire = std::make_unique<LoopbackTransport>();
-    w.mux = std::make_unique<GatewayMux>(*w.wire);
-    w.demux = std::make_unique<GatewayDemux>(*w.wire);
+  std::unique_ptr<HospitalGateway> gateway;
+  if (wire) {
+    gateway = std::make_unique<HospitalGateway>(hospital, HospitalGatewayConfig{*wire});
   }
-  for (std::size_t i = 0; i < sessions; ++i) {
+  for (std::size_t i = 0; i < 4; ++i) {
     fleet::SessionConfig sc;
     if (i % 2 == 1) sc.scenario = "exercise";
-    GatewayMux* mux = wires[i % shards].mux.get();
-    sc.code_sink = [mux](std::uint32_t id, std::span<const std::int16_t> codes) {
-      mux->send(id, codes);
-    };
-    const std::uint32_t id = hospital.admit(std::move(sc));
-    wires[i % shards].mux->open_channel(id);
-    wires[i % shards].demux->open_channel(id);
+    (void)(gateway ? gateway->admit(std::move(sc)) : hospital.admit(std::move(sc)));
   }
-  for (std::size_t s = 0; s < shards; ++s) {
-    auto& w = wires[s];
-    w.demux->on_codes([&hospital, s](std::uint32_t id,
-                                     std::span<const std::int16_t> codes) {
-      hospital.shard(s).session(id)->ingest_codes(codes);
-    });
-    hospital.shard(s).set_batch_hook([&w] { (void)w.demux->pump(); });
+  hospital.run(1.0);
+  if (gateway) {
+    const WireTotals totals = gateway->totals();
+    EXPECT_GT(totals.codes_sent, 0u);
+    EXPECT_EQ(totals.delivery_drops, 0u);
+    EXPECT_EQ(totals.lost_envelopes, 0u);
   }
-  hospital.run(duration_s);
-  std::ostringstream os;
-  hospital.export_jsonl(os);
-  return os.str();
-}
-
-std::string run_direct_hospital(std::size_t sessions, std::size_t shards,
-                                double duration_s) {
-  fleet::HospitalConfig config;
-  config.shards = shards;
-  config.threads_per_shard = 1;
-  config.base_seed = 77;
-  fleet::HospitalScheduler hospital{config};
-  for (std::size_t i = 0; i < sessions; ++i) {
-    fleet::SessionConfig sc;
-    if (i % 2 == 1) sc.scenario = "exercise";
-    (void)hospital.admit(std::move(sc));
-  }
-  hospital.run(duration_s);
   std::ostringstream os;
   hospital.export_jsonl(os);
   return os.str();
@@ -421,10 +392,38 @@ std::string run_direct_hospital(std::size_t sessions, std::size_t shards,
 // snapshot bytes identical to direct in-process ingest — the wire adds
 // latency, never different bytes.
 TEST(GatewayFleet, LoopbackIngestIsBitIdenticalToDirect) {
-  const std::string direct = run_direct_hospital(4, 2, 1.0);
-  const std::string gateway = run_gateway_hospital(4, 2, 1.0);
+  const std::string direct = run_hospital(std::nullopt);
+  const std::string gateway = run_hospital(WireKind::kLoopback);
   EXPECT_FALSE(direct.empty());
   EXPECT_EQ(direct, gateway);
+}
+
+// The same contract over real localhost sockets: TCP preserves byte order
+// and loses nothing, so the snapshot matches direct ingest too.
+TEST(GatewayFleet, TcpIngestIsBitIdenticalToDirect) {
+  std::string gateway;
+  try {
+    gateway = run_hospital(WireKind::kTcp);
+  } catch (const TransportError& e) {
+    GTEST_SKIP() << "localhost sockets unavailable: " << e.what();
+  }
+  EXPECT_EQ(run_hospital(std::nullopt), gateway);
+}
+
+// Nothing drains a blocking loopback between batch barriers, so it must
+// hold one whole shard batch; the gateway refuses the admission that would
+// overflow it instead of letting the producers spin forever.
+TEST(GatewayFleet, UndersizedBlockingLoopbackIsRejectedAtAdmission) {
+  fleet::HospitalConfig config;
+  config.threads_per_shard = 1;
+  fleet::HospitalScheduler hospital{config};
+  HospitalGatewayConfig gateway_config;
+  // One session's 64-frame batch travels as one envelope.
+  gateway_config.wire_capacity_bytes = envelope_wire_bytes(core::frame_wire_bytes(64));
+  HospitalGateway gateway{hospital, gateway_config};
+  EXPECT_NO_THROW((void)gateway.admit(fleet::SessionConfig{}));
+  EXPECT_THROW((void)gateway.admit(fleet::SessionConfig{}), std::invalid_argument);
+  EXPECT_EQ(hospital.size(), 1u);
 }
 
 TEST(GatewayTcp, LocalhostRoundtripDeliversEveryCode) {

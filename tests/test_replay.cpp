@@ -20,8 +20,7 @@
 #include "src/common/rng.hpp"
 #include "src/core/telemetry.hpp"
 #include "src/fleet/hospital_scheduler.hpp"
-#include "src/gateway/gateway.hpp"
-#include "src/gateway/transport.hpp"
+#include "src/gateway/hospital_gateway.hpp"
 
 namespace tono::gateway {
 namespace {
@@ -172,88 +171,41 @@ TEST(Recorder, ListSessionsFindsEveryRecordFile) {
   EXPECT_TRUE(SessionReplayer::list_sessions(dir + "_nope").empty());
 }
 
-/// Gateway-fed hospital (mirrors examples/gateway_server.cpp): live mode
-/// produces through the wire and optionally records; replay mode feeds
-/// recorded frames back with their original sequence numbers. Returns the
-/// delivered code stream per session.
-std::map<std::uint32_t, std::vector<std::int16_t>> run_hospital(
-    const std::string& record_dir, bool replay, double duration_s,
-    std::uint64_t* consumed = nullptr) {
-  constexpr std::size_t kSessions = 2;
+struct HospitalRun {
+  std::map<std::uint32_t, std::vector<std::int16_t>> delivered;  ///< per session
+  std::uint64_t consumed{0};  ///< codes the ward consumed
+  ReplayHorizon horizon;
+};
+
+/// Gateway-fed hospital through HospitalGateway, as `ward_server
+/// --transport loopback` serves it: live mode produces through the wire for
+/// `live_s` and records into `dir`; replay mode feeds that recording back
+/// with its original sequence numbers, up to its horizon.
+HospitalRun run_hospital(const std::string& dir, bool replay, double live_s = 0.0) {
   fleet::HospitalConfig config;
   config.shards = 1;
   config.threads_per_shard = 1;
   config.base_seed = 909;
   fleet::HospitalScheduler hospital{config};
-  LoopbackTransport wire;
-  GatewayMux mux{wire};
-  GatewayDemux demux{wire};
-  std::map<std::uint32_t, std::vector<std::int16_t>> delivered;
-
-  for (std::size_t i = 0; i < kSessions; ++i) {
+  HospitalGatewayConfig gateway_config;
+  (replay ? gateway_config.replay_dir : gateway_config.record_dir) = dir;
+  HospitalGateway gateway{hospital, gateway_config};
+  HospitalRun run;
+  gateway.set_delivery_tap([&](std::uint32_t id, std::span<const std::int16_t> codes) {
+    run.delivered[id].insert(run.delivered[id].end(), codes.begin(), codes.end());
+  });
+  for (std::size_t i = 0; i < 2; ++i) {
     fleet::SessionConfig sc;
     if (i % 2 == 1) sc.scenario = "exercise";
-    if (replay) {
-      sc.external_ingest = true;
-    } else {
-      GatewayMux* m = &mux;
-      sc.code_sink = [m](std::uint32_t id, std::span<const std::int16_t> codes) {
-        m->send(id, codes);
-      };
-    }
-    const std::uint32_t id = hospital.admit(std::move(sc));
-    mux.open_channel(id);
-    demux.open_channel(id);
+    (void)gateway.admit(std::move(sc));
   }
-  demux.on_codes([&](std::uint32_t id, std::span<const std::int16_t> codes) {
-    delivered[id].insert(delivered[id].end(), codes.begin(), codes.end());
-    hospital.shard(0).session(id)->ingest_codes(codes);
-  });
-
-  std::unique_ptr<SessionRecorder> recorder;
-  if (!replay && !record_dir.empty()) {
-    recorder = std::make_unique<SessionRecorder>(record_dir);
-    for (std::uint32_t id = 0; id < kSessions; ++id) recorder->open_session(id);
-    demux.on_envelope([&recorder](std::uint32_t id,
-                                  std::span<const std::uint8_t> frame,
-                                  std::uint16_t n_codes) {
-      recorder->record(id, frame, n_codes);
-    });
-  }
-
-  const std::size_t fps = config.frames_per_step;
-  std::vector<std::unique_ptr<SessionReplayer>> replayers;
-  if (replay) {
-    for (std::uint32_t id = 0; id < kSessions; ++id) {
-      replayers.push_back(std::make_unique<SessionReplayer>(record_dir, id));
-    }
-    hospital.shard(0).set_batch_hook([&] {
-      std::vector<std::uint8_t> frame;
-      std::uint16_t n_codes = 0;
-      for (auto& r : replayers) {
-        std::size_t quota = fps;
-        while (quota > 0 && r->next(frame, n_codes)) {
-          mux.send_encoded(r->session_id(), frame, n_codes);
-          quota -= std::min<std::size_t>(quota, n_codes);
-          (void)demux.pump();
-        }
-      }
-    });
-  } else {
-    hospital.shard(0).set_batch_hook([&] { (void)demux.pump(); });
-  }
-
+  run.horizon = gateway.replay_horizon();
+  const double duration_s = replay ? run.horizon.seconds() : live_s;
   hospital.run(duration_s);
-  if (recorder) {
-    RecordMeta meta;
-    meta.base_seed = config.base_seed;
-    meta.sessions = kSessions;
-    meta.frames_per_step = fps;
-    meta.duration_s = duration_s;
-    EXPECT_TRUE(recorder->finalize(meta));
-  }
-  if (consumed != nullptr) *consumed = hospital.snapshot().codes_consumed;
-  return delivered;
+  if (!replay) EXPECT_TRUE(gateway.finalize_recording(duration_s));
+  EXPECT_EQ(gateway.totals().delivery_drops, 0u);
+  run.consumed = hospital.snapshot().codes_consumed;
+  return run;
 }
 
 // The record→replay determinism contract, end to end: a hospital replaying
@@ -261,33 +213,20 @@ std::map<std::uint32_t, std::vector<std::int16_t>> run_hospital(
 // recorded run consumed, and the ward consumes the same code count.
 TEST(Replay, HospitalReplayReproducesTheConsumedStream) {
   const std::string dir = fresh_dir("rec_hospital");
-  std::uint64_t live_consumed = 0;
-  const auto live = run_hospital(dir, /*replay=*/false, 0.5, &live_consumed);
-  ASSERT_EQ(live.size(), 2u);
-  for (const auto& [id, codes] : live) {
+  const HospitalRun live = run_hospital(dir, /*replay=*/false, 0.5);
+  ASSERT_EQ(live.delivered.size(), 2u);
+  for (const auto& [id, codes] : live.delivered) {
     EXPECT_GE(codes.size(), 500u) << "session " << id;
   }
+  ASSERT_TRUE(read_record_index(dir).has_value());
 
-  // Replay horizon: whole batches of the shortest stream, like
-  // gateway_server's floor alignment.
-  const auto index = read_record_index(dir);
-  ASSERT_TRUE(index.has_value());
-  std::uint64_t min_codes = UINT64_MAX;
-  for (std::uint32_t id = 0; id < 2; ++id) {
-    min_codes = std::min(min_codes, SessionReplayer::scan(dir, id).codes);
-  }
-  const std::uint64_t fps = index->meta.frames_per_step;
-  const double replay_duration =
-      static_cast<double>((min_codes / fps) * fps) / 1000.0;
-
-  std::uint64_t replay_consumed = 0;
-  const auto replayed =
-      run_hospital(dir, /*replay=*/true, replay_duration, &replay_consumed);
-  ASSERT_EQ(replayed.size(), live.size());
-  for (const auto& [id, codes] : live) {
-    EXPECT_EQ(replayed.at(id), codes) << "session " << id;
-  }
-  EXPECT_EQ(replay_consumed, live_consumed);
+  // The replay horizon is whole batches of the shortest stream.
+  const HospitalRun replayed = run_hospital(dir, /*replay=*/true);
+  EXPECT_FALSE(replayed.horizon.torn);
+  EXPECT_EQ(replayed.horizon.codes_per_session % 64, 0u);
+  EXPECT_GT(replayed.horizon.codes_per_session, 0u);
+  EXPECT_EQ(replayed.delivered, live.delivered);
+  EXPECT_EQ(replayed.consumed, live.consumed);
 }
 
 }  // namespace
