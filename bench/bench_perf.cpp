@@ -13,6 +13,8 @@
 // block benchmarks of the same stage are directly comparable. Trajectory
 // entries are schema_version 2: per-benchmark time is `ns_per_item`
 // (per-iteration times were meaningless across scalar/block pairs).
+// Repeated benchmarks (the serving-scale ones) record the median rate plus
+// `repetitions` and `cv`.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -275,7 +277,13 @@ void BM_SweepTrials(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kTrials));
 }
-BENCHMARK(BM_SweepTrials)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+// Serving-scale benchmarks take up to ~0.4 s per iteration, so a short
+// --benchmark_min_time records a single one; each of these repeats its
+// measurement and the trajectory keeps the median with its coefficient of
+// variation (CapturingReporter).
+constexpr int kRepetitions = 5;
+
+BENCHMARK(BM_SweepTrials)->Arg(1)->Arg(2)->Arg(4)->Repetitions(kRepetitions)->UseRealTime();
 
 // A pre-admitted ward at steady state, reused across iterations so the
 // one-time admission cost (localization-free cuff calibration per session)
@@ -321,7 +329,13 @@ void BM_FleetSteadyState(benchmark::State& state) {
   state.counters["realtime_sessions"] = benchmark::Counter(
       static_cast<double>(codes) / 1000.0, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_FleetSteadyState)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->UseRealTime();
+BENCHMARK(BM_FleetSteadyState)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Repetitions(kRepetitions)
+    ->UseRealTime();
 
 // A pre-admitted hospital at steady state: sessions split across shards,
 // each shard on its own driver thread with a serial scheduler
@@ -381,6 +395,7 @@ BENCHMARK(BM_HospitalSteadyState)
     ->Args({64, 4})
     ->Args({256, 4})
     ->Args({1024, 4})
+    ->Repetitions(kRepetitions)
     ->UseRealTime();
 
 // The gateway wire at steady state: N channels multiplexed over one
@@ -507,15 +522,36 @@ BENCHMARK(BM_Fft8k);
 struct CapturedRun {
   double items_per_second{0.0};
   double ns_per_item{0.0};
+  /// Repeated benchmarks: the rate is the median over `repetitions` runs
+  /// and `cv` the rates' coefficient of variation (stddev / mean).
+  std::int64_t repetitions{1};
+  double cv{0.0};
 };
 
 class CapturingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const auto& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      CapturedRun c;
+      if (run.error_occurred) continue;
       const auto it = run.counters.find("items_per_second");
+      // Keyed without the "/repeats:N" component, so a benchmark keeps its
+      // trajectory name whether or not it repeats.
+      benchmark::BenchmarkName name = run.run_name;
+      name.repetitions.clear();
+      const std::string key = name.str();
+      if (run.run_type == Run::RT_Aggregate) {
+        // Aggregates arrive after their repetitions' runs and replace them.
+        CapturedRun& c = results_[key];
+        c.repetitions = run.repetitions;
+        if (run.aggregate_name == "median" && it != run.counters.end()) {
+          c.items_per_second = it->second.value;
+          c.ns_per_item = c.items_per_second > 0.0 ? 1e9 / c.items_per_second : 0.0;
+        } else if (run.aggregate_name == "cv" && it != run.counters.end()) {
+          c.cv = it->second.value;
+        }
+        continue;
+      }
+      CapturedRun c;
       if (it != run.counters.end()) c.items_per_second = it->second.value;
       // Schema v2: time is always normalized per *item* (one modulator
       // clock / input sample / trial), never per benchmark iteration —
@@ -529,7 +565,7 @@ class CapturingReporter : public benchmark::ConsoleReporter {
       } else {
         c.ns_per_item = run.real_accumulated_time * 1e9 / iters;
       }
-      results_[run.benchmark_name()] = c;
+      results_[key] = c;
     }
     ConsoleReporter::ReportRuns(runs);
   }
@@ -580,7 +616,11 @@ std::string make_entry_json(const std::map<std::string, CapturedRun>& results) {
     if (!first) os << ",\n";
     first = false;
     os << "      \"" << name << "\": {\"items_per_second\": " << run.items_per_second
-       << ", \"ns_per_item\": " << run.ns_per_item << "}";
+       << ", \"ns_per_item\": " << run.ns_per_item;
+    if (run.repetitions > 1) {
+      os << ", \"repetitions\": " << run.repetitions << ", \"cv\": " << run.cv;
+    }
+    os << "}";
   }
   os << "\n    },\n";
   const double scalar_pipe = rate_of(results, "BM_FullPipelineClock");

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iostream>
 #include <numbers>
+#include <stdexcept>
 #include <string>
 
 #include "src/common/cli.hpp"
@@ -66,7 +67,15 @@ int cmd_monitor(int argc, const char* const* argv) {
 
   core::BloodPressureMonitor mon{core::ChipConfig::paper_chip(), wrist};
   const auto scan = mon.localize();
-  const auto cuff = mon.calibrate(12.0);
+  // A well-formed pressure pair the cuff model cannot measure (e.g. 300/250
+  // or 10/-40 mmHg) is a runtime outcome, not a usage error: exit 1.
+  bio::CuffReading cuff;
+  try {
+    cuff = mon.calibrate(12.0);
+  } catch (const std::runtime_error& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
   const auto rep = mon.monitor(args.double_value("duration"));
 
   std::cout << "selected element: (" << scan.best_row << "," << scan.best_col << ")\n"
@@ -98,9 +107,14 @@ int cmd_monitor(int argc, const char* const* argv) {
 int cmd_adc(int argc, const char* const* argv) {
   ArgParser args{"tonosim_cli adc", "single-tone ADC characterization"};
   args.add_double("amp-dbfs", "input amplitude [dBFS]", -2.0);
-  args.add_double("freq", "target input frequency [Hz]", 15.625);
+  args.add_double("freq", "target input frequency [Hz]", 15.625, {.above = 0});
   args.add_string("metrics", "write a JSONL runtime-metrics snapshot to this file", "");
   if (const auto exit = args.parse_or_exit(argc, argv)) return *exit;
+  // The output rate is 1 kS/s: a tone at or above Nyquist would alias.
+  if (!(args.double_value("freq") < 500.0)) {
+    std::cerr << "--freq must be below 500 Hz (Nyquist of the 1 kS/s output)\n";
+    return 2;
+  }
   analog::ModulatorConfig mc;
   analog::DeltaSigmaModulator mod{mc};
   dsp::DecimationChain chain{dsp::DecimationConfig{}};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "src/common/checkpoint.hpp"
 
@@ -23,15 +24,7 @@ std::vector<ModulatorConfig> derived_configs(const ModulatorConfig& base,
 
 }  // namespace
 
-ModulatorBank::ModulatorBank(const std::vector<ModulatorConfig>& configs) {
-  if (configs.empty()) {
-    throw std::invalid_argument{"ModulatorBank: need at least one lane"};
-  }
-  lanes_.reserve(configs.size());
-  for (const auto& config : configs) lanes_.emplace_back(config);
-  inputs_.resize(configs.size());
-  enabled_.assign(configs.size(), 1);
-
+ModulatorBank::ModulatorBank() {
   // Resolve the kernel once; the bank's dispatch is fixed for its lifetime
   // (tests pin a level with simd::force_active_level before construction).
   level_ = simd::active_level();
@@ -45,25 +38,48 @@ ModulatorBank::ModulatorBank(const std::vector<ModulatorConfig>& configs) {
   if (kernel_ == nullptr) level_ = simd::Level::kScalar;
   width_ = simd::level_width(level_);
 
-  shared_raw_.resize(lanes_.size() * 4 * kFrame);
-  flicker_raw_.resize(lanes_.size() * kFrame);
-  fill_rngs_.reserve(lanes_.size());
-  fill_dests_.reserve(lanes_.size());
-  fill_ns_.reserve(lanes_.size());
-  fill_lanes_.reserve(lanes_.size());
-  init_metrics_();
+  auto& reg = metrics::Registry::global();
+  bank_lanes_gauge_ = &reg.gauge(metrics::names::kModulatorBankLanes);
+  simd_width_gauge_ = &reg.gauge(metrics::names::kBankSimdWidth);
+  step_block_timer_ = &reg.timer(metrics::names::kBankStepBlock);
+  simd_width_gauge_->set(static_cast<double>(width_));
+  bind_();
+}
+
+ModulatorBank::ModulatorBank(const std::vector<ModulatorConfig>& configs)
+    : ModulatorBank() {
+  if (configs.empty()) {
+    throw std::invalid_argument{"ModulatorBank: need at least one lane"};
+  }
+  owned_.reserve(configs.size());
+  for (const auto& config : configs) owned_.emplace_back(config);
+  for (auto& lane : owned_) lanes_.push_back(&lane);
+  bind_();
 }
 
 ModulatorBank::ModulatorBank(const ModulatorConfig& base, std::size_t lanes)
     : ModulatorBank(derived_configs(base, lanes)) {}
 
-void ModulatorBank::init_metrics_() {
-  auto& reg = metrics::Registry::global();
-  bank_lanes_gauge_ = &reg.gauge(metrics::names::kModulatorBankLanes);
-  simd_width_gauge_ = &reg.gauge(metrics::names::kBankSimdWidth);
-  step_block_timer_ = &reg.timer(metrics::names::kBankStepBlock);
-  bank_lanes_gauge_->set(static_cast<double>(lanes_.size()));
-  simd_width_gauge_->set(static_cast<double>(width_));
+void ModulatorBank::rebind(std::vector<DeltaSigmaModulator*> lanes) {
+  if (!owned_.empty()) {
+    throw std::logic_error{"ModulatorBank::rebind: the bank owns its lanes"};
+  }
+  lanes_ = std::move(lanes);
+  bind_();
+}
+
+void ModulatorBank::bind_() {
+  const std::size_t lanes = lanes_.size();
+  inputs_.assign(lanes, {});
+  enabled_.assign(lanes, 1);
+  packets_dirty_ = true;
+  shared_raw_.resize(lanes * 4 * kFrame);
+  flicker_raw_.resize(lanes * kFrame);
+  fill_rngs_.reserve(lanes);
+  fill_dests_.reserve(lanes);
+  fill_ns_.reserve(lanes);
+  fill_lanes_.reserve(lanes);
+  bank_lanes_gauge_->set(static_cast<double>(lanes));
 }
 
 void ModulatorBank::rebuild_packets_() {
@@ -82,7 +98,7 @@ void ModulatorBank::rebuild_packets_() {
     std::vector<std::pair<std::uint32_t, std::vector<std::size_t>>> groups;
     for (std::size_t k = 0; k < lanes_.size(); ++k) {
       if (!enabled_[k]) continue;
-      const std::uint32_t key = lanes_[k].kernel_branches_();
+      const std::uint32_t key = lanes_[k]->kernel_branches_();
       auto it = std::find_if(groups.begin(), groups.end(),
                              [key](const auto& g) { return g.first == key; });
       if (it == groups.end()) {
@@ -124,7 +140,7 @@ void ModulatorBank::rebuild_packets_() {
   for (std::size_t pi = 0; pi < packets_.size(); ++pi) {
     Packet& p = packets_[pi];
     if (pi >= plans_.size()) {
-      views_[pi] = lanes_[p.lane[0]].solo_view_(p.slots, p.bits.data());
+      views_[pi] = lanes_[p.lane[0]]->solo_view_(p.slots, p.bits.data());
       continue;
     }
     TransposedPlans& t = plans_[pi];
@@ -151,7 +167,7 @@ void ModulatorBank::rebuild_packets_() {
 void ModulatorBank::load_packet_state_() {
   for (Packet& p : packets_) {
     for (std::size_t w = 0; w < p.width; ++w) {
-      lanes_[p.lane[w]].load_kernel_slot_(p.slots, w, inputs_[p.lane[w]].u);
+      lanes_[p.lane[w]]->load_kernel_slot_(p.slots, w, inputs_[p.lane[w]].u);
     }
   }
 }
@@ -159,7 +175,7 @@ void ModulatorBank::load_packet_state_() {
 void ModulatorBank::store_packet_state_() {
   for (const Packet& p : packets_) {
     for (std::size_t w = 0; w < p.width; ++w) {
-      lanes_[p.lane[w]].store_kernel_slot_(p.slots, w);
+      lanes_[p.lane[w]]->store_kernel_slot_(p.slots, w);
     }
   }
 }
@@ -181,9 +197,9 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
   for (std::size_t k = 0; k < K; ++k) {
     if (!enabled_[k]) continue;
     const std::size_t count =
-        frame * lanes_[k].shared_draws_per_clock_();
+        frame * lanes_[k]->shared_draws_per_clock_();
     if (count == 0) continue;
-    fill_rngs_.push_back(&lanes_[k].rng_);
+    fill_rngs_.push_back(&lanes_[k]->rng_);
     fill_dests_.push_back(shared_raw_.data() + k * 4 * kFrame);
     fill_ns_.push_back(count);
     fill_lanes_.push_back(k);
@@ -196,8 +212,8 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
   for (std::size_t j = 0; j < fill_lanes_.size(); ++j) {
     const std::size_t k = fill_lanes_[j];
     if (lane_packet_[k] != kNoPacket) continue;
-    lanes_[k].build_shared_plan_(frame, inputs_[k].sigma_u, fill_dests_[j],
-                                 lanes_[k].own_shared_dest_());
+    lanes_[k]->build_shared_plan_(frame, inputs_[k].sigma_u, fill_dests_[j],
+                                 lanes_[k]->own_shared_dest_());
   }
   fuse_shared_packet_plans_(frame);
 
@@ -210,7 +226,7 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
     fill_lanes_.clear();
     for (std::size_t k = 0; k < K; ++k) {
       if (!enabled_[k]) continue;
-      DeltaSigmaModulator& lane = lanes_[k];
+      DeltaSigmaModulator& lane = *lanes_[k];
       const std::uint32_t on = stage == 1 ? bankkernel::kFl1 : bankkernel::kFl2;
       if ((lane.kernel_branches_() & on) == 0) continue;
       PinkNoise& flicker = stage == 1 ? lane.flicker1_ : lane.flicker2_;
@@ -222,7 +238,7 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
     Rng::fill_gaussian_multi(fill_rngs_.data(), fill_dests_.data(),
                              fill_ns_.data(), fill_rngs_.size());
     for (std::size_t j = 0; j < fill_lanes_.size(); ++j) {
-      DeltaSigmaModulator& lane = lanes_[fill_lanes_[j]];
+      DeltaSigmaModulator& lane = *lanes_[fill_lanes_[j]];
       PinkNoise& flicker = stage == 1 ? lane.flicker1_ : lane.flicker2_;
       auto& dest = stage == 1 ? lane.plan_.flick1 : lane.plan_.flick2;
       flicker.fill_next_from(fill_dests_[j], dest.data(), frame);
@@ -241,10 +257,10 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
   for (std::size_t k = 0; k < K; ++k) {
     if (!enabled_[k]) continue;
     Rng* stream =
-        lanes_[k].comparator_.plan_external(lanes_[k].plan_.comp.data(), frame);
+        lanes_[k]->comparator_.plan_external(lanes_[k]->plan_.comp.data(), frame);
     if (stream == nullptr) continue;  // noise off: nothing pre-drawn
     fill_rngs_.push_back(stream);
-    fill_dests_.push_back(lanes_[k].plan_.comp.data());
+    fill_dests_.push_back(lanes_[k]->plan_.comp.data());
     fill_ns_.push_back(frame);
     fill_lanes_.push_back(k);
   }
@@ -252,7 +268,7 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
                            fill_ns_.data(), fill_rngs_.size());
   for (std::size_t j = 0; j < fill_lanes_.size(); ++j) {
     const std::size_t k = fill_lanes_[j];
-    const double sigma = lanes_[k].comparator_.config().noise_vrms;
+    const double sigma = lanes_[k]->comparator_.config().noise_vrms;
     double* buf = fill_dests_[j];
     if (lane_packet_[k] != kNoPacket) {
       // Scale in place (the metastable resync regenerates tails from
@@ -270,7 +286,7 @@ void ModulatorBank::fill_lane_plans_(std::size_t frame) {
   }
 
   for (std::size_t k = 0; k < K; ++k) {
-    if (enabled_[k]) lanes_[k].noise_plan_fills_metric_->add(1);
+    if (enabled_[k]) lanes_[k]->noise_plan_fills_metric_->add(1);
   }
 }
 
@@ -289,7 +305,7 @@ void ModulatorBank::fuse_shared_packet_plans_(std::size_t frame) {
       bankkernel::SharedFuseJob job;
       for (std::size_t w = 0; w < w_n; ++w) {
         const std::size_t lk = p.lane[w];
-        const DeltaSigmaModulator& lane = lanes_[lk];
+        const DeltaSigmaModulator& lane = *lanes_[lk];
         job.raw[w] = shared_raw_.data() + lk * 4 * kFrame;
         job.sigma_u[w] = inputs_[lk].sigma_u;
         job.ref_vrms[w] = lane.config_.ref_noise_vrms;
@@ -308,7 +324,7 @@ void ModulatorBank::fuse_shared_packet_plans_(std::size_t frame) {
 #endif
     for (std::size_t w = 0; w < w_n; ++w) {
       const std::size_t lk = p.lane[w];
-      lanes_[lk].build_shared_plan_(
+      lanes_[lk]->build_shared_plan_(
           frame, inputs_[lk].sigma_u, shared_raw_.data() + lk * 4 * kFrame,
           {t.ktc.data() + w, t.ref.data() + w, t.op1.data() + w,
            t.op2.data() + w, w_n});
@@ -330,7 +346,7 @@ void ModulatorBank::transpose_packet_plans_(std::size_t frame) {
     if (!fl1 && !fl2) continue;
     const Packet& p = packets_[t.packet];
     for (std::size_t w = 0; w < w_n; ++w) {
-      const auto& plan = lanes_[p.lane[w]].plan_;
+      const auto& plan = lanes_[p.lane[w]]->plan_;
       if (fl1) {
         for (std::size_t i = 0; i < frame; ++i) t.fl1[i * w_n + w] = plan.flick1[i];
       }
@@ -345,7 +361,7 @@ double ModulatorBank::settle_cb_(void* ctx, std::size_t slot, int stage,
                                  double v) {
   const TransposedPlans& t = *static_cast<const TransposedPlans*>(ctx);
   DeltaSigmaModulator& lane =
-      t.owner->lanes_[t.owner->packets_[t.packet].lane[slot]];
+      *t.owner->lanes_[t.owner->packets_[t.packet].lane[slot]];
   return DeltaSigmaModulator::settle_escape_(&lane, 0, stage, v);
 }
 
@@ -353,7 +369,7 @@ double ModulatorBank::metastable_cb_(void* ctx, std::size_t slot,
                                      std::size_t clock) {
   TransposedPlans& t = *static_cast<TransposedPlans*>(ctx);
   DeltaSigmaModulator& lane =
-      t.owner->lanes_[t.owner->packets_[t.packet].lane[slot]];
+      *t.owner->lanes_[t.owner->packets_[t.packet].lane[slot]];
   const double decision = DeltaSigmaModulator::metastable_escape_(&lane, 0, clock);
   if ((t.branches & bankkernel::kComp) != 0) {
     // The resync regenerated the lane's linear plan tail (clock+1 …); the
@@ -370,10 +386,10 @@ void ModulatorBank::step_capacitive_block(const double* c_sense_f,
                                           const double* c_ref_f, int* bits_out,
                                           std::size_t n) {
   metrics::TraceSpan span(*step_block_timer_);
-  if (n == 0) return;
+  if (n == 0 || lanes_.empty()) return;
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
     if (enabled_[k]) {
-      inputs_[k] = lanes_[k].capacitive_input_(c_sense_f[k], c_ref_f[k]);
+      inputs_[k] = lanes_[k]->capacitive_input_(c_sense_f[k], c_ref_f[k]);
     }
   }
   if (packets_dirty_) rebuild_packets_();
@@ -408,7 +424,7 @@ void ModulatorBank::step_capacitive_block(const double* c_sense_f, int* bits_out
   // branch is each lane's configured on-chip capacitor with its die mismatch.
   std::vector<double> c_ref(lanes_.size());
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
-    c_ref[k] = lanes_[k].config_.c_ref_f * lanes_[k].ref_mismatch_;
+    c_ref[k] = lanes_[k]->config_.c_ref_f * lanes_[k]->ref_mismatch_;
   }
   step_capacitive_block(c_sense_f, c_ref.data(), bits_out, n);
 }
@@ -431,14 +447,14 @@ std::size_t ModulatorBank::enabled_lanes() const noexcept {
 }
 
 void ModulatorBank::reset() {
-  for (auto& lane : lanes_) lane.reset();
+  for (DeltaSigmaModulator* lane : lanes_) lane->reset();
 }
 
 void ModulatorBank::serialize(CheckpointWriter& out) const {
   out.section("modulator_bank");
   out.size(lanes_.size());
   for (const std::uint8_t e : enabled_) out.u8(e);
-  for (const auto& lane : lanes_) lane.serialize(out);
+  for (const DeltaSigmaModulator* lane : lanes_) lane->serialize(out);
 }
 
 void ModulatorBank::restore(CheckpointReader& in) {
@@ -456,7 +472,7 @@ void ModulatorBank::restore(CheckpointReader& in) {
     }
     e = v;
   }
-  for (auto& lane : lanes_) lane.restore(in);
+  for (DeltaSigmaModulator* lane : lanes_) lane->restore(in);
   packets_dirty_ = true;
 }
 

@@ -32,6 +32,22 @@
 //   * a disabled lane (set_lane_enabled — element fault masking) is frozen:
 //     not stepped, no noise drawn, its bits region untouched. Re-enabling
 //     resumes bit-identically from the frozen state.
+//
+// Owned and borrowed lanes. A lane is a pointer to a DeltaSigmaModulator.
+// The config constructors build the modulators inside the bank and point
+// at them (ArrayAcquisition, sweeps). A borrowing bank points at modulators
+// owned elsewhere — a fleet shard steps its sessions' pipeline converters
+// through one bank (FleetScheduler). Either way the lane objects stay
+// authoritative between blocks: step_capacitive_block loads their state
+// into kernel slots at block start and stores it back at block end, so a
+// lane may be stepped on its own (DeltaSigmaModulator::step_capacitive,
+// step_capacitive_block) between bank steps while it is disabled.
+//
+// Rebinding rules for a borrowing bank: rebind() whenever the set or order
+// of lanes changes, and before any borrowed modulator is destroyed or
+// replaced (a stale lane pointer is a use-after-free). rebind() enables
+// every lane and rebuilds the packet layout on the next step. The bank
+// never caches lane state across blocks, so rebinding changes no values.
 #pragma once
 
 #include <array>
@@ -56,6 +72,21 @@ class ModulatorBank {
   /// by the same golden-ratio salting Rng::fork uses. Lane 0 keeps
   /// `base.seed` unchanged, so lane 0 reproduces the single-modulator run.
   ModulatorBank(const ModulatorConfig& base, std::size_t lanes);
+
+  /// A borrowing bank, bound to no lanes yet; see rebind().
+  ModulatorBank();
+
+  ModulatorBank(const ModulatorBank&) = delete;
+  ModulatorBank& operator=(const ModulatorBank&) = delete;
+
+  /// Re-points a borrowing bank at `lanes` (owned elsewhere; they must
+  /// outlive the binding), in that lane order, all enabled. Throws
+  /// std::logic_error on a bank that owns its lanes.
+  void rebind(std::vector<DeltaSigmaModulator*> lanes);
+  /// The lanes in bank order (what a borrowing bank is bound to).
+  [[nodiscard]] const std::vector<DeltaSigmaModulator*>& lane_pointers() const noexcept {
+    return lanes_;
+  }
 
   /// Runs `n` clocks on every enabled lane in capacitive mode. `c_sense_f` /
   /// `c_ref_f` hold one capacitance per lane; `bits_out` has room for
@@ -90,9 +121,9 @@ class ModulatorBank {
   void restore(CheckpointReader& in);
 
   [[nodiscard]] std::size_t lanes() const noexcept { return lanes_.size(); }
-  [[nodiscard]] DeltaSigmaModulator& lane(std::size_t k) { return lanes_[k]; }
+  [[nodiscard]] DeltaSigmaModulator& lane(std::size_t k) { return *lanes_[k]; }
   [[nodiscard]] const DeltaSigmaModulator& lane(std::size_t k) const {
-    return lanes_[k];
+    return *lanes_[k];
   }
 
   /// The SIMD dispatch this bank resolved at construction (fixed for its
@@ -136,7 +167,9 @@ class ModulatorBank {
     ModulatorBank* owner{nullptr};
   };
 
-  void init_metrics_();
+  /// Sizes the per-lane scratch for lanes_, enables every lane and marks
+  /// the packet layout for rebuild.
+  void bind_();
   /// Regroups enabled lanes into vector packets of width_ (first) and
   /// width-1 packets (the rest), and builds their kernel views.
   void rebuild_packets_();
@@ -165,7 +198,8 @@ class ModulatorBank {
   static double settle_cb_(void* ctx, std::size_t slot, int stage, double v);
   static double metastable_cb_(void* ctx, std::size_t slot, std::size_t clock);
 
-  std::vector<DeltaSigmaModulator> lanes_;
+  std::vector<DeltaSigmaModulator> owned_;  ///< empty for a borrowing bank
+  std::vector<DeltaSigmaModulator*> lanes_;
   std::vector<DeltaSigmaModulator::CapacitiveInput> inputs_;  ///< scratch
   std::vector<std::uint8_t> enabled_;
 

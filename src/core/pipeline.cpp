@@ -65,34 +65,51 @@ std::optional<dsp::DecimatedSample> AcquisitionPipeline::clock(double contact_pr
 }
 
 dsp::DecimatedSample AcquisitionPipeline::clock_block(double contact_pressure_pa) {
-  const std::size_t n = config_.decimation.total_decimation;
-  if (!mux_.is_settled(time_s_ - last_switch_s_)) {
-    // Mux transient still decaying (only right after select() / reset()):
-    // the per-clock blend matters, so run the frame through the scalar path.
-    // Any `n` consecutive clocks contain exactly one output instant.
-    std::optional<dsp::DecimatedSample> out;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (auto s = clock(contact_pressure_pa)) out = s;
-    }
-    mux_fallbacks_metric_->add(1);  // the frame itself was counted by clock()
-    return *out;
-  }
+  const auto in = begin_frame(contact_pressure_pa);
+  if (!in) return scalar_frame(contact_pressure_pa);
+  modulator_.step_capacitive_block(in->c_sense_f, in->c_ref_f,
+                                   bit_scratch_.data(), frame_clocks());
+  return end_frame(bit_scratch_.data());
+}
+
+std::optional<AcquisitionPipeline::BlockInput> AcquisitionPipeline::begin_frame(
+    double contact_pressure_pa) {
+  if (!mux_.is_settled(time_s_ - last_switch_s_)) return std::nullopt;
   const auto& elem = array_.element(mux_.selected_row(), mux_.selected_col());
   const double c_target = elem.capacitance(contact_pressure_pa, temperature_k_);
   // Settled ⇒ observed_capacitance returns c_target bit-for-bit every clock,
   // so the lookup hoists and the scalar path's last_capacitance_ tracking
   // collapses to one store.
   last_capacitance_ = c_target;
-  modulator_.step_capacitive_block(c_target, array_.reference_capacitance(),
-                                   bit_scratch_.data(), n);
+  return BlockInput{c_target, array_.reference_capacitance()};
+}
+
+dsp::DecimatedSample AcquisitionPipeline::scalar_frame(double contact_pressure_pa) {
+  // Mux transient still decaying: the per-clock blend matters. Any
+  // frame_clocks() consecutive clocks contain exactly one output instant.
+  std::optional<dsp::DecimatedSample> out;
+  for (std::size_t i = 0; i < frame_clocks(); ++i) {
+    if (auto s = clock(contact_pressure_pa)) out = s;
+  }
+  mux_fallbacks_metric_->add(1);  // the frame itself was counted by clock()
+  return *out;
+}
+
+dsp::DecimatedSample AcquisitionPipeline::end_frame(const int* bits) {
+  const std::size_t n = frame_clocks();
   // Advance time with the same n sequential additions as n scalar clocks:
   // double addition is order-sensitive, and time_s_ must stay bit-identical
   // between the scalar and block paths.
   const double dt = 1.0 / clock_rate_hz();
   for (std::size_t i = 0; i < n; ++i) time_s_ += dt;
-  const auto sample = chain_.push_frame({bit_scratch_.data(), n});
+  const auto sample = chain_.push_frame({bits, n});
   record_frame_(/*block_path=*/true);
   return sample;
+}
+
+double AcquisitionPipeline::field_pressure(const ContactField& field) const {
+  const auto& pos = array_.element(mux_.selected_row(), mux_.selected_col()).position();
+  return field(pos.x_m, pos.y_m, time_s_);
 }
 
 std::vector<dsp::DecimatedSample> AcquisitionPipeline::acquire(const ContactField& field,
@@ -119,13 +136,9 @@ std::vector<dsp::DecimatedSample> AcquisitionPipeline::acquire_uniform(
 
 std::vector<dsp::DecimatedSample> AcquisitionPipeline::acquire_block(const ContactField& field,
                                                                      std::size_t n_out) {
-  const auto& pos = array_.element(mux_.selected_row(), mux_.selected_col()).position();
   std::vector<dsp::DecimatedSample> out;
   out.reserve(n_out);
-  for (std::size_t i = 0; i < n_out; ++i) {
-    const double p = field(pos.x_m, pos.y_m, time_s_);
-    out.push_back(clock_block(p));
-  }
+  for (std::size_t i = 0; i < n_out; ++i) out.push_back(clock_block(field_pressure(field)));
   return out;
 }
 

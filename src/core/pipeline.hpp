@@ -50,6 +50,35 @@ class AcquisitionPipeline {
   /// scalar path.
   [[nodiscard]] dsp::DecimatedSample clock_block(double contact_pressure_pa);
 
+  /// clock_block, split around the modulator's block step so many pipelines
+  /// can step their converters together through one ModulatorBank (the
+  /// fleet's lockstep batches). One frame is: begin_frame; then, if it
+  /// returned an input, `frame_clocks()` modulator() clocks at that input
+  /// (DeltaSigmaModulator::step_capacitive_block or a bank lane) and
+  /// end_frame on their bits; otherwise scalar_frame. clock_block is exactly
+  /// this sequence, so both paths share one prologue and one epilogue.
+  struct BlockInput {
+    double c_sense_f{0.0};
+    double c_ref_f{0.0};
+  };
+  /// Frame prologue: once the mux has settled, latches and returns the
+  /// selected element's capacitance at `contact_pressure_pa` — constant for
+  /// the frame. std::nullopt while a mux transient is live (after select(),
+  /// a re-route or reset()): the frame must run through scalar_frame.
+  [[nodiscard]] std::optional<BlockInput> begin_frame(double contact_pressure_pa);
+  /// A whole frame on the per-clock scalar path (the mux-transient case).
+  [[nodiscard]] dsp::DecimatedSample scalar_frame(double contact_pressure_pa);
+  /// Frame epilogue: advances the clock and decimates the frame's
+  /// frame_clocks() modulator bits.
+  [[nodiscard]] dsp::DecimatedSample end_frame(const int* bits);
+  [[nodiscard]] std::size_t frame_clocks() const noexcept {
+    return config_.decimation.total_decimation;
+  }
+  /// `field` at the selected element's position and the current clock (a
+  /// BloodPressureMonitor field also advances physiology and die
+  /// temperature, so call it once per frame, before begin_frame).
+  [[nodiscard]] double field_pressure(const ContactField& field) const;
+
   /// Runs until `n_out` output samples are produced, evaluating the contact
   /// field at the selected element's position each clock.
   [[nodiscard]] std::vector<dsp::DecimatedSample> acquire(const ContactField& field,

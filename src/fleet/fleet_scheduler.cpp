@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -207,6 +208,8 @@ void FleetScheduler::readmit_from_checkpoint_(Slot& slot) {
     auto fresh = std::make_unique<PatientSession>(id, slot.session->config());
     fresh->restore_checkpoint(blob);
     ward_.reattach(*fresh);  // keep the accumulated WardSessionState
+    // The old object's modulator dies here: no bank may keep pointing at it.
+    for (auto& group : groups_) group->bank.rebind({});
     slot.session = std::move(fresh);
     ++checkpoints_restored_;
     checkpoints_restored_metric_->add(1);
@@ -250,36 +253,42 @@ std::size_t FleetScheduler::step_all(double until_s) {
   metrics::TraceSpan span{*batch_wall_};
   const std::size_t frames = config_.frames_per_step;
   std::vector<std::exception_ptr> errors(batch.size());
+  const std::size_t n_groups =
+      pool_ == nullptr ? 1 : std::min(pool_->thread_count(), batch.size());
+  while (groups_.size() < n_groups) groups_.push_back(std::make_unique<Group>());
 
   if (pool_ == nullptr) {
     // Serial reference execution. Rings hold a full batch (enforced at
     // admit), so nothing blocks with the consumer waiting below.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      try {
-        batch[i]->session->step(frames);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
+    step_group_(*groups_[0], batch, errors, 0, batch.size(), frames);
   } else {
-    // One task per session; the caller drains the ward while the workers
-    // produce, which is what un-blocks a full ring under the blocking
-    // policy.
-    std::atomic<std::size_t> remaining{batch.size()};
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      PatientSession* session = batch[i]->session.get();
-      std::exception_ptr* error = &errors[i];
-      pool_->submit([session, error, frames, &remaining] {
+    // One task per group (contiguous slices of the batch); the caller
+    // drains the ward while the workers produce, which is what un-blocks a
+    // full ring under the blocking policy. Session throws are caught inside
+    // step_group_; anything else (out of memory) is rethrown here, as the
+    // serial path would, instead of leaving `remaining` stuck.
+    std::atomic<std::size_t> remaining{n_groups};
+    std::vector<std::exception_ptr> group_errors(n_groups);
+    for (std::size_t g = 0; g < n_groups; ++g) {
+      const std::size_t begin = g * batch.size() / n_groups;
+      const std::size_t end = (g + 1) * batch.size() / n_groups;
+      Group* group = groups_[g].get();
+      std::exception_ptr* group_error = &group_errors[g];
+      pool_->submit([this, group, group_error, &batch, &errors, begin, end, frames,
+                     &remaining] {
         try {
-          session->step(frames);
+          step_group_(*group, batch, errors, begin, end, frames);
         } catch (...) {
-          *error = std::current_exception();
+          *group_error = std::current_exception();
         }
         remaining.fetch_sub(1, std::memory_order_release);
       });
     }
     while (remaining.load(std::memory_order_acquire) > 0) {
       if (ward_.drain_once() == 0) std::this_thread::yield();
+    }
+    for (const auto& error : group_errors) {
+      if (error) std::rethrow_exception(error);
     }
   }
 
@@ -317,6 +326,78 @@ std::size_t FleetScheduler::step_all(double until_s) {
   // counts and would make notice→urgent timing depend on the thread count.
   ward_.settle();
   return stepped;
+}
+
+void FleetScheduler::step_group_(Group& group, const std::vector<Slot*>& batch,
+                                 std::vector<std::exception_ptr>& errors,
+                                 std::size_t begin, std::size_t end,
+                                 std::size_t frames) {
+  group.acquiring.clear();
+  group.lane_of.clear();
+  group.lanes.clear();
+  std::size_t n = 0;  // clocks per frame of the bank's lanes
+  for (std::size_t i = begin; i < end; ++i) {
+    PatientSession& session = *batch[i]->session;
+    try {
+      if (!session.begin_step(frames)) continue;
+      group.acquiring.push_back(i);
+      if (group.lanes.empty()) n = session.frame_clocks();
+      if (session.frame_clocks() == n) {
+        group.lane_of.push_back(i);
+        group.lanes.push_back(&session.modulator());
+      } else {
+        session.acquire_alone(frames);
+      }
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  }
+  if (group.lanes != group.bank.lane_pointers()) group.bank.rebind(group.lanes);
+
+  const std::size_t lanes = group.lanes.size();
+  group.c_sense.resize(lanes);
+  group.c_ref.resize(lanes);
+  group.bits.resize(lanes * n);
+  for (std::size_t f = 0; f < frames && lanes > 0; ++f) {
+    for (std::size_t k = 0; k < lanes; ++k) {
+      const std::size_t i = group.lane_of[k];
+      std::optional<core::AcquisitionPipeline::BlockInput> in;
+      if (!errors[i]) {
+        try {
+          in = batch[i]->session->begin_frame();
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      }
+      // A mux-transient frame (already run on the pipeline's scalar path)
+      // or a failed session sits this block out.
+      group.bank.set_lane_enabled(k, in.has_value());
+      if (in) {
+        group.c_sense[k] = in->c_sense_f;
+        group.c_ref[k] = in->c_ref_f;
+      }
+    }
+    group.bank.step_capacitive_block(group.c_sense.data(), group.c_ref.data(),
+                                     group.bits.data(), n);
+    for (std::size_t k = 0; k < lanes; ++k) {
+      if (!group.bank.lane_enabled(k)) continue;
+      const std::size_t i = group.lane_of[k];
+      try {
+        batch[i]->session->end_frame(group.bits.data() + k * n);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  }
+
+  for (const std::size_t i : group.acquiring) {
+    if (errors[i]) continue;
+    try {
+      batch[i]->session->publish_step();
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  }
 }
 
 bool FleetScheduler::recovery_pending(double until_s) const {

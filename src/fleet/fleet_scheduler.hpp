@@ -2,8 +2,8 @@
 //
 // The serving loop of the fleet layer (docs/FLEET.md): sessions advance in
 // lockstep batches of `frames_per_step` output frames, fanned across the
-// shared ThreadPool — one task per session per batch, so a session is never
-// stepped by two threads at once. While workers produce, the caller thread
+// shared ThreadPool — one task per worker group per batch, each session in
+// exactly one group, so a session is never stepped by two threads at once. While workers produce, the caller thread
 // drains the ward aggregator, which is what lets tiny rings with blocking
 // backpressure make progress (and why the blocking policy cannot deadlock:
 // with threads == 1 there is no concurrent consumer, so ring capacities
@@ -14,6 +14,15 @@
 // of its mutable state, and each batch is a barrier — so the parallel fleet
 // is bit-identical to stepping the same sessions serially, regardless of
 // thread count or scheduling (tests/test_fleet.cpp).
+//
+// Lockstep acquisition: a batch splits into contiguous worker groups (the
+// whole batch when threads == 1, one group per pool worker otherwise). A
+// group steps its sessions' converters frame by frame through one
+// analog::ModulatorBank whose lanes borrow the sessions' modulators — SoA
+// across patients, vectorized like the bank's own lanes — instead of one
+// width-1 block step per session. PatientSession's begin_step / begin_frame
+// / end_frame / publish_step split is what makes this possible, and the
+// bank's "scheduling, never values" contract is why it changes no output.
 //
 // Crash isolation: an admit()/step() that throws quarantines that session —
 // the exception is recorded as the quarantine reason, the batch and every
@@ -35,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "src/analog/modulator_bank.hpp"
 #include "src/common/metrics.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/fleet/patient_session.hpp"
@@ -175,6 +185,30 @@ class FleetScheduler {
     std::size_t fault_log_synced{0};  ///< session fault_log entries mirrored to ward
   };
 
+  /// One worker's share of a batch. `bank` borrows the modulators of the
+  /// group's acquiring sessions and is rebound whenever they change — a
+  /// session joins or leaves the batch (admission, pause, resume,
+  /// discharge, quarantine, the until_s horizon) or is replaced by
+  /// readmission. The rest is per-frame scratch.
+  struct Group {
+    analog::ModulatorBank bank;
+    std::vector<std::size_t> acquiring;  ///< batch indices acquiring this step
+    std::vector<std::size_t> lane_of;    ///< batch index per bank lane
+    std::vector<analog::DeltaSigmaModulator*> lanes;
+    std::vector<double> c_sense;
+    std::vector<double> c_ref;
+    std::vector<int> bits;  ///< lane-major, lanes × frame_clocks()
+  };
+
+  /// Steps batch[begin, end) through `group`: every session's begin_step,
+  /// then `frames` lockstep frames (per-session prologue, one bank block
+  /// step, per-session epilogue), then every publish_step. A session whose
+  /// frame is a different number of clocks (another OSR) than the group's
+  /// first cannot share the bank and acquires alone. A throw lands in that
+  /// session's `errors` slot and drops it from the rest of the batch.
+  void step_group_(Group& group, const std::vector<Slot*>& batch,
+                   std::vector<std::exception_ptr>& errors, std::size_t begin,
+                   std::size_t end, std::size_t frames);
   [[nodiscard]] Slot* find_(std::uint32_t id);
   [[nodiscard]] const Slot* find_(std::uint32_t id) const;
   void quarantine_(Slot& slot, const std::exception_ptr& error);
@@ -191,6 +225,7 @@ class FleetScheduler {
   std::function<void()> batch_hook_;
   std::unique_ptr<ThreadPool> pool_;  ///< null when threads == 1
   std::vector<Slot> sessions_;
+  std::vector<std::unique_ptr<Group>> groups_;  ///< grown on demand
   std::uint64_t batch_index_{0};
   std::uint64_t checkpoints_written_{0};
   std::uint64_t checkpoints_restored_{0};

@@ -212,13 +212,39 @@ void PatientSession::make_stream_() {
 }
 
 void PatientSession::step(std::size_t frames) {
+  if (!begin_step(frames)) return;
+  acquire_alone(frames);
+  publish_step();
+}
+
+void PatientSession::acquire_alone(std::size_t frames) {
+  samples_ = inner_->pipeline().acquire_block(effective_field_, frames);
+}
+
+bool PatientSession::begin_step(std::size_t frames) {
   if (!admitted_) admit();
   // External ingest (gateway replay): admission above is the whole step —
   // codes arrive via ingest_codes() and advance stream time there.
-  if (config_.external_ingest || frames == 0) return;
+  if (config_.external_ingest || frames == 0) return false;
   apply_due_faults_();
+  samples_.clear();
+  return true;
+}
+
+std::optional<core::AcquisitionPipeline::BlockInput> PatientSession::begin_frame() {
   auto& pipeline = inner_->pipeline();
-  const auto samples = pipeline.acquire_block(effective_field_, frames);
+  const double p = pipeline.field_pressure(effective_field_);
+  auto in = pipeline.begin_frame(p);
+  if (!in) samples_.push_back(pipeline.scalar_frame(p));
+  return in;
+}
+
+void PatientSession::end_frame(const int* bits) {
+  samples_.push_back(inner_->pipeline().end_frame(bits));
+}
+
+void PatientSession::publish_step() {
+  const auto& samples = samples_;
   if (config_.code_sink) {
     // Gateway mode: hand the surviving codes to the wire instead of
     // publishing locally; the demux delivers them back via ingest_codes()
@@ -250,7 +276,7 @@ void PatientSession::step(std::size_t frames) {
       stream_->push(calibration_.to_mmhg(dequantize_from_bits(code, bits)));
     }
   }
-  frames_produced_ += frames;
+  frames_produced_ += samples.size();
 }
 
 void PatientSession::ingest_codes(std::span<const std::int16_t> codes) {

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -153,8 +154,39 @@ class PatientSession {
   /// the codes ring, converts to mmHg through the calibration and feeds the
   /// streaming monitor, whose beat/alarm/quality callbacks publish to the
   /// events ring. Must only run on one thread at a time (the scheduler
-  /// guarantees one task per session per batch).
+  /// steps each session from exactly one task per batch).
   void step(std::size_t frames);
+
+  /// step(frames), split so a scheduler can run the modulator block steps
+  /// of many sessions together through one ModulatorBank over their
+  /// modulator()s (FleetScheduler's lockstep batches). One step is
+  /// begin_step; then, if it returned true, either `frames` × (begin_frame,
+  /// block step of frame_clocks() clocks at the returned input when there
+  /// is one, end_frame on its bits) or acquire_alone(frames); then
+  /// publish_step. Values equal step(frames): the contact field is open
+  /// loop, so interleaving sessions frame by frame changes nothing.
+  ///
+  /// begin_step admits if needed, short-circuits external ingest and applies
+  /// due faults — every throw a step makes comes from here, before any
+  /// frame. Returns false when the session acquires nothing this step.
+  [[nodiscard]] bool begin_step(std::size_t frames);
+  /// Evaluates the contact field for the next frame and returns the block
+  /// step's input; std::nullopt when the mux is still settling, in which
+  /// case the frame already ran on the pipeline's scalar path.
+  [[nodiscard]] std::optional<core::AcquisitionPipeline::BlockInput> begin_frame();
+  /// Completes a block frame from the modulator's frame_clocks() bits.
+  void end_frame(const int* bits);
+  /// All of the step's frames on this session's own block path.
+  void acquire_alone(std::size_t frames);
+  /// Publishes the step's samples: code ring and streaming monitor, or the
+  /// code_sink, through the simulated link when the fault plan routes it.
+  void publish_step();
+  [[nodiscard]] analog::DeltaSigmaModulator& modulator() noexcept {
+    return inner_->pipeline().modulator();
+  }
+  [[nodiscard]] std::size_t frame_clocks() const noexcept {
+    return inner_->pipeline().frame_clocks();
+  }
 
   /// Delivers codes that arrived over the gateway wire: pushes each to the
   /// codes ring (session code_policy) and feeds the streaming monitor via
@@ -273,6 +305,7 @@ class PatientSession {
   std::unique_ptr<core::FrameEncoder> link_encoder_;
   std::unique_ptr<core::FrameDecoder> link_decoder_;
   std::unique_ptr<core::LinkFaultInjector> link_injector_;
+  std::vector<dsp::DecimatedSample> samples_;  ///< this step's frames (scratch)
   std::vector<std::int16_t> sink_scratch_;  ///< per-step scratch, never serialized
   metrics::Counter* faults_injected_metric_;
 };

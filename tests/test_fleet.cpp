@@ -12,6 +12,7 @@
 
 #include "src/bio/pulse_generator.hpp"
 #include "src/common/metrics.hpp"
+#include "src/common/simd.hpp"
 #include "src/fleet/fault_plan.hpp"
 #include "src/fleet/fleet_scheduler.hpp"
 
@@ -380,6 +381,179 @@ TEST(Fleet, LifecyclePauseResumeDischarge) {
   EXPECT_EQ(scheduler.step_all(), 0u) << "discharged sessions never step";
   // Everything produced before discharge reached the ward.
   EXPECT_EQ(ward.session(id)->codes, scheduler.config().frames_per_step);
+}
+
+// --- Lockstep batches: edge cases the mixed-ward oracles do not reach -----
+//
+// A shard steps its sessions' converters through one ModulatorBank, frame by
+// frame. Each test below compares every fleet session against a solo
+// PatientSession of the same id and config, stepped on the same schedule
+// (catch-and-retry standing in for quarantine + readmission), by code
+// stream and by checkpoint bytes.
+
+struct Twin {
+  std::vector<std::int16_t> codes;
+  std::vector<std::uint8_t> blob;
+};
+
+Twin solo_twin(std::uint32_t id, const SessionConfig& config, double until_s) {
+  PatientSession solo{id, config};
+  Twin twin;
+  std::vector<FleetEvent> events;
+  while (solo.stream_time_s() < until_s) {
+    try {
+      solo.step(FleetConfig{}.frames_per_step);
+    } catch (const std::exception&) {
+      continue;
+    }
+    solo.codes().pop_all(twin.codes);
+    solo.events().pop_all(events);
+  }
+  twin.blob = solo.checkpoint();
+  return twin;
+}
+
+/// Every session of `scheduler` (ids 0..n-1) against its solo twin run to
+/// `until_s[id]`.
+void expect_solo_twins(FleetScheduler& scheduler, const WardAggregator& ward,
+                       const std::vector<double>& until_s) {
+  for (std::uint32_t id = 0; id < until_s.size(); ++id) {
+    PatientSession& session = *scheduler.session(id);
+    const Twin solo = solo_twin(id, session.config(), until_s[id]);
+    ASSERT_FALSE(solo.codes.empty()) << "session " << id;
+    EXPECT_EQ(ward.recorded_codes(id), solo.codes) << "session " << id << " codes";
+    EXPECT_EQ(session.checkpoint(), solo.blob) << "session " << id << " checkpoint";
+  }
+}
+
+WardConfig recording_ward() {
+  WardConfig config;
+  config.record_codes = true;
+  return config;
+}
+
+/// Sessions whose converters differ in kernel branch structure: five
+/// default chips (one full AVX2 packet plus a width-1 remainder), one
+/// without op-amp noise and one without flicker — three packet shapes in
+/// one bank.
+std::vector<SessionConfig> mixed_branch_configs() {
+  std::vector<SessionConfig> configs;
+  for (std::size_t i = 0; i < 7; ++i) configs.push_back(mixed_config(i % 3));
+  configs[2].chip.modulator.opamp1.noise_vrms = 0.0;
+  configs[2].chip.modulator.opamp2.noise_vrms = 0.0;
+  configs[5].chip.modulator.opamp1.flicker_corner_hz = 0.0;
+  configs[5].chip.modulator.opamp2.flicker_corner_hz = 0.0;
+  return configs;
+}
+
+void run_against_solo(const std::vector<SessionConfig>& configs, std::size_t threads) {
+  WardAggregator ward{recording_ward()};
+  FleetConfig fleet_config;
+  fleet_config.threads = threads;
+  FleetScheduler scheduler{fleet_config, ward};
+  for (const auto& config : configs) (void)scheduler.admit(config);
+  scheduler.run(0.5);
+  expect_solo_twins(scheduler, ward, std::vector<double>(configs.size(), 0.5));
+}
+
+void run_mixed_branches() { run_against_solo(mixed_branch_configs(), 1); }
+
+void run_mid_run_reroute() {
+  // The element a fresh session reads; faulting it mid-run forces a
+  // re-route, whose mux transient runs on the scalar path while the other
+  // lanes keep stepping in the bank.
+  PatientSession probe{0, SessionConfig{}};
+  const auto& pipeline = probe.monitor().pipeline();
+  WardAggregator ward{recording_ward()};
+  FleetConfig fleet_config;
+  fleet_config.threads = 1;
+  FleetScheduler scheduler{fleet_config, ward};
+  for (std::size_t i = 0; i < 3; ++i) {
+    SessionConfig config = mixed_config(i);
+    if (i == 1) {
+      config.manual_faults.push_back(
+          FaultEvent{.kind = FaultKind::kElementFault,
+                     .at_s = 0.2,
+                     .row = pipeline.selected_row(),
+                     .col = pipeline.selected_col(),
+                     .element_fault = core::ElementFault::kStuckDown,
+                     .throw_count = 0});
+    }
+    (void)scheduler.admit(std::move(config));
+  }
+  auto& fallbacks =
+      metrics::Registry::global().counter(metrics::names::kPipelineMuxFallbacks);
+  const auto before = fallbacks.value();
+  scheduler.run(0.5);
+  EXPECT_GT(fallbacks.value(), before) << "no scalar mux-transient frame ran";
+  const auto& log = scheduler.session(1)->fault_log();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_NE(log[1].find("rerouted readout"), std::string::npos);
+  expect_solo_twins(scheduler, ward, {0.5, 0.5, 0.5});
+}
+
+void run_membership_changes() {
+  // Session 2 is discharged and session 3 admitted in its place, which
+  // keeps the lane count while changing a lane; later session 1 throws once
+  // and is readmitted from its checkpoint into a new object. Both must
+  // rebind the shard's bank.
+  WardAggregator ward{recording_ward()};
+  FleetConfig fleet_config;
+  fleet_config.threads = 1;
+  FleetScheduler scheduler{fleet_config, ward};
+  for (std::size_t i = 0; i < 3; ++i) {
+    SessionConfig config = mixed_config(i);
+    if (i == 1) {
+      config.manual_faults.push_back(FaultEvent{
+          .kind = FaultKind::kContactLoss, .at_s = 0.3, .duration_s = 0.1});
+    }
+    (void)scheduler.admit(std::move(config));
+  }
+  const PatientSession* before = scheduler.session(1);
+  scheduler.run(0.125);
+  scheduler.discharge(2);
+  (void)scheduler.admit(mixed_config(0));
+  scheduler.run(0.5);
+  EXPECT_EQ(scheduler.checkpoints_restored(), 1u);
+  EXPECT_NE(scheduler.session(1), before) << "readmission replaced the session";
+  EXPECT_EQ(scheduler.state(1), SessionState::kRunning);
+  expect_solo_twins(scheduler, ward, {0.5, 0.5, 0.125, 0.5});
+}
+
+void run_mixed_oversampling() {
+  // A converter clocked 64× per frame cannot share a 128-clock bank step:
+  // session 1 acquires alone while sessions 0 and 2 share the bank.
+  std::vector<SessionConfig> configs;
+  for (std::size_t i = 0; i < 3; ++i) configs.push_back(mixed_config(i));
+  configs[1].chip.decimation.total_decimation = 64;
+  run_against_solo(configs, 1);
+}
+
+TEST(FleetLockstep, MixedKernelBranchesMatchSolo) { run_mixed_branches(); }
+
+TEST(FleetLockstep, MidRunRerouteMatchesSolo) { run_mid_run_reroute(); }
+
+TEST(FleetLockstep, MembershipChangesRebindTheBank) { run_membership_changes(); }
+
+TEST(FleetLockstep, MixedOversamplingRatiosMatchSolo) { run_mixed_oversampling(); }
+
+TEST(FleetLockstep, ScalarDispatchMatchesSolo) {
+  // Banks resolve the dispatch when the scheduler builds them.
+  const simd::Level ambient = simd::active_level();
+  simd::force_active_level(simd::Level::kScalar);
+  run_mixed_branches();
+  run_mid_run_reroute();
+  run_membership_changes();
+  simd::force_active_level(ambient);
+}
+
+TEST(FleetLockstep, PoolGroupsOffSimdWidthMatchSolo) {
+  // Nine sessions over two workers: groups of four and five lanes, so one
+  // group is an exact vector packet and the other a packet plus a width-1
+  // remainder; the batch is a multiple of neither SIMD width.
+  std::vector<SessionConfig> configs;
+  for (std::size_t i = 0; i < 9; ++i) configs.push_back(mixed_config(i % 3));
+  run_against_solo(configs, 2);
 }
 
 // --- Ward aggregator unit tests: fabricated events through real rings -----
