@@ -11,7 +11,9 @@
 // generator's ground truth: AAMI-style pass/fail, BHS-style letter grades,
 // Bland–Altman agreement, transient-response metrics. Emits the
 // fleet-aggregatable JSONL artifact (per-session, per-cohort, fleet lines)
-// plus a human-readable cohort table.
+// plus a human-readable cohort table. A member whose admission is rejected
+// is reported ungraded ("admitted":false) and counted per cohort; the run
+// still exits 0.
 //
 // Determinism contract: for fixed flags the JSONL bytes are identical
 // across repeated runs and across --threads values — population members are
@@ -22,6 +24,7 @@
 #include <fstream>
 #include <iostream>
 #include <span>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,8 +49,23 @@ core::SessionValidationRecord run_member(const bio::ScenarioConfig& member,
   config.wrist.artifacts = member.artifacts;
   config.wrist.enable_artifacts = member.enable_artifacts;
 
-  fleet::PatientSession session{static_cast<std::uint32_t>(member.member_index), config};
-  session.admit();
+  const auto id = static_cast<std::uint32_t>(member.member_index);
+  fleet::PatientSession session{id, config};
+  try {
+    session.admit();
+  } catch (const std::runtime_error& e) {
+    // A member admission rejects (an AF rhythm can fail the calibration
+    // quality gate) never streams: report it ungraded instead of aborting
+    // the whole population.
+    core::SessionValidationRecord rejected;
+    rejected.session_id = id;
+    rejected.cohort = member.cohort;
+    rejected.scenario = bio::to_string(member.family);
+    rejected.seed = member.seed;
+    rejected.admitted = false;
+    rejected.rejection = e.what();
+    return rejected;
+  }
 
   core::ValidationConfig vconfig;
   vconfig.min_pairs = min_pairs;
@@ -69,7 +87,8 @@ core::SessionValidationRecord run_member(const bio::ScenarioConfig& member,
     done += n;
     while (session.events().try_pop(event)) {
       if (event.kind == fleet::FleetEventKind::kBeat) {
-        validator.add_estimate(event.time_s + epoch_s, event.value_a, event.value_b);
+        validator.add_estimate(event.time_s + epoch_s, event.value_a, event.value_b,
+                               event.value_c);
       }
     }
     while (session.codes().try_pop(code)) {
@@ -83,19 +102,26 @@ core::SessionValidationRecord run_member(const bio::ScenarioConfig& member,
     validator.add_truth(std::span{&beat, 1}, 0.0);
   }
 
-  return validator.finalize(static_cast<std::uint32_t>(member.member_index),
-                            member.cohort, bio::to_string(member.family), member.seed,
+  return validator.finalize(id, member.cohort, bio::to_string(member.family), member.seed,
                             config.scenario_profile.get());
 }
 
-void print_grade_row(std::ostream& os, const std::string& label, std::size_t sessions,
-                     std::size_t aami_pass, const core::ErrorAccumulator& sys,
-                     std::size_t min_pairs) {
-  const core::BlandAltman ba = core::bland_altman(sys);
-  os << "  " << label << ": sessions=" << sessions << " aami_pass=" << aami_pass
-     << " sys_bias=" << ba.bias_mmhg << " sys_sd=" << ba.sd_mmhg
-     << " aami=" << core::to_string(core::aami_verdict(sys, min_pairs))
-     << " bhs=" << core::to_string(core::bhs_grade(sys, min_pairs)) << "\n";
+void print_quantity(std::ostream& os, const char* name, const core::ErrorAccumulator& acc,
+                    std::size_t min_pairs) {
+  const core::BlandAltman ba = core::bland_altman(acc);
+  os << " | " << name << " bias=" << ba.bias_mmhg << " sd=" << ba.sd_mmhg
+     << " aami=" << core::to_string(core::aami_verdict(acc, min_pairs))
+     << " bhs=" << core::to_string(core::bhs_grade(acc, min_pairs));
+}
+
+void print_grade_row(std::ostream& os, const std::string& label,
+                     const core::CohortValidation& c, std::size_t min_pairs) {
+  os << "  " << label << ": sessions=" << c.sessions << " aami_pass=" << c.aami_pass_sessions
+     << " rejected=" << c.rejected_sessions;
+  print_quantity(os, "sys", c.sys_error, min_pairs);
+  print_quantity(os, "dia", c.dia_error, min_pairs);
+  print_quantity(os, "map", c.map_error, min_pairs);
+  os << "\n";
 }
 
 }  // namespace
@@ -156,13 +182,14 @@ int main(int argc, char** argv) {
             << "s threads=" << runner.thread_count() << "\n";
   core::CohortValidation fleet_total;
   for (const auto& cohort : aggregator.validation_by_cohort()) {
-    print_grade_row(std::cout, "cohort " + cohort.cohort, cohort.sessions,
-                    cohort.aami_pass_sessions, cohort.sys_error, min_pairs);
+    print_grade_row(std::cout, "cohort " + cohort.cohort, cohort, min_pairs);
     fleet_total.sessions += cohort.sessions;
     fleet_total.aami_pass_sessions += cohort.aami_pass_sessions;
+    fleet_total.rejected_sessions += cohort.rejected_sessions;
     fleet_total.sys_error.merge(cohort.sys_error);
+    fleet_total.dia_error.merge(cohort.dia_error);
+    fleet_total.map_error.merge(cohort.map_error);
   }
-  print_grade_row(std::cout, "fleet", fleet_total.sessions,
-                  fleet_total.aami_pass_sessions, fleet_total.sys_error, min_pairs);
+  print_grade_row(std::cout, "fleet", fleet_total, min_pairs);
   return 0;
 }

@@ -151,8 +151,8 @@ void SessionValidator::add_truth(std::span<const bio::BeatTruth> beats,
 }
 
 void SessionValidator::add_estimate(double time_s, double systolic_mmhg,
-                                    double diastolic_mmhg) {
-  estimates_.push_back(EstimatedBeat{time_s, systolic_mmhg, diastolic_mmhg});
+                                    double diastolic_mmhg, double map_mmhg) {
+  estimates_.push_back(EstimatedBeat{time_s, systolic_mmhg, diastolic_mmhg, map_mmhg});
 }
 
 TransientMetrics transient_response(std::span<const EstimatedBeat> estimates,
@@ -261,8 +261,7 @@ SessionValidationRecord SessionValidator::finalize(std::uint32_t session_id,
     ++rec.matched_beats;
     rec.sys_error.add(e.systolic_mmhg, t.systolic_mmhg);
     rec.dia_error.add(e.diastolic_mmhg, t.diastolic_mmhg);
-    const double est_map = e.diastolic_mmhg + (e.systolic_mmhg - e.diastolic_mmhg) / 3.0;
-    rec.map_error.add(est_map, t.map_mmhg);
+    rec.map_error.add(e.map_mmhg, t.map_mmhg);
   }
 
   if (profile != nullptr) {
@@ -292,6 +291,7 @@ std::vector<CohortValidation> aggregate_by_cohort(
     auto& c = by_cohort[rec.cohort];
     c.cohort = rec.cohort;
     ++c.sessions;
+    if (!rec.admitted) ++c.rejected_sessions;
     if (aami_verdict(rec.sys_error, min_pairs) == AamiVerdict::kPass) {
       ++c.aami_pass_sessions;
     }
@@ -318,7 +318,12 @@ void export_validation_jsonl(std::span<const SessionValidationRecord> records,
   for (const auto* r : ordered) {
     os << "{\"type\":\"validation_session\",\"id\":" << r->session_id << ",\"cohort\":\""
        << json_escape(r->cohort) << "\",\"scenario\":\"" << json_escape(r->scenario)
-       << "\",\"seed\":" << r->seed << ",\"duration_s\":" << r->duration_s
+       << "\",\"seed\":" << r->seed;
+    if (!r->admitted) {
+      os << ",\"admitted\":false,\"reason\":\"" << json_escape(r->rejection) << "\"}\n";
+      continue;
+    }
+    os << ",\"duration_s\":" << r->duration_s
        << ",\"truth_beats\":" << r->truth_beats << ",\"estimate_beats\":" << r->estimate_beats
        << ",\"matched_beats\":" << r->matched_beats;
     export_error_block(os, "sys", r->sys_error, min_pairs);
@@ -343,19 +348,22 @@ void export_validation_jsonl(std::span<const SessionValidationRecord> records,
   fleet.cohort = "fleet";
   for (const auto& c : cohorts) {
     os << "{\"type\":\"validation_cohort\",\"cohort\":\"" << json_escape(c.cohort)
-       << "\",\"sessions\":" << c.sessions << ",\"aami_pass\":" << c.aami_pass_sessions;
+       << "\",\"sessions\":" << c.sessions << ",\"aami_pass\":" << c.aami_pass_sessions
+       << ",\"rejected\":" << c.rejected_sessions;
     export_error_block(os, "sys", c.sys_error, min_pairs);
     export_error_block(os, "dia", c.dia_error, min_pairs);
     export_error_block(os, "map", c.map_error, min_pairs);
     os << "}\n";
     fleet.sessions += c.sessions;
     fleet.aami_pass_sessions += c.aami_pass_sessions;
+    fleet.rejected_sessions += c.rejected_sessions;
     fleet.sys_error.merge(c.sys_error);
     fleet.dia_error.merge(c.dia_error);
     fleet.map_error.merge(c.map_error);
   }
   os << "{\"type\":\"validation_fleet\",\"sessions\":" << fleet.sessions
-     << ",\"aami_pass\":" << fleet.aami_pass_sessions;
+     << ",\"aami_pass\":" << fleet.aami_pass_sessions
+     << ",\"rejected\":" << fleet.rejected_sessions;
   export_error_block(os, "sys", fleet.sys_error, min_pairs);
   export_error_block(os, "dia", fleet.dia_error, min_pairs);
   export_error_block(os, "map", fleet.map_error, min_pairs);

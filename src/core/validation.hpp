@@ -105,6 +105,7 @@ struct EstimatedBeat {
   double time_s{0.0};
   double systolic_mmhg{0.0};
   double diastolic_mmhg{0.0};
+  double map_mmhg{0.0};  ///< measured mean over the beat, not dia + pp/3
 };
 
 struct ValidationConfig {
@@ -121,6 +122,11 @@ struct SessionValidationRecord {
   std::string cohort;    ///< roll-up key ("" = ungrouped)
   std::string scenario;  ///< profile name
   std::uint64_t seed{0};
+  /// False when the session never streamed (admission rejected it, e.g. a
+  /// calibration window without a usable pulse): the record is ungraded and
+  /// `rejection` says why.
+  bool admitted{true};
+  std::string rejection;
   double duration_s{0.0};
   std::size_t truth_beats{0};
   std::size_t estimate_beats{0};
@@ -145,8 +151,11 @@ class SessionValidator {
   void add_truth(std::span<const bio::BeatTruth> beats, double clock_offset_s = 0.0);
 
   /// One estimated beat (stream time) — e.g. a fleet beat event or a
-  /// detected beat from a MonitoringReport.
-  void add_estimate(double time_s, double systolic_mmhg, double diastolic_mmhg);
+  /// detected beat from a MonitoringReport. `map_mmhg` is the measured
+  /// waveform mean over the beat (core::Beat::mean_value), graded against
+  /// the truth beat mean.
+  void add_estimate(double time_s, double systolic_mmhg, double diastolic_mmhg,
+                    double map_mmhg);
 
   /// Pairs estimates with truth, computes transient metrics against the
   /// profile (nullptr → transient invalid) and returns the session record.
@@ -175,6 +184,7 @@ struct CohortValidation {
   std::string cohort;
   std::size_t sessions{0};
   std::size_t aami_pass_sessions{0};
+  std::size_t rejected_sessions{0};  ///< counted in `sessions`, never graded
   ErrorAccumulator sys_error;
   ErrorAccumulator dia_error;
   ErrorAccumulator map_error;
@@ -187,8 +197,9 @@ struct CohortValidation {
     std::span<const SessionValidationRecord> records, std::size_t min_pairs = 30);
 
 /// JSONL artifact: one "validation_session" line per record (ordered by
-/// session id), one "validation_cohort" line per cohort (ordered by name),
-/// then one "validation_fleet" summary line. Formatting follows the ward
+/// session id; a rejected session's line carries `"admitted":false` and the
+/// reason instead of grades), one "validation_cohort" line per cohort
+/// (ordered by name), then one "validation_fleet" summary line. Formatting follows the ward
 /// snapshot export (default ostream doubles, gated optional fields), so the
 /// bytes are identical across repeated runs and thread counts for the same
 /// records.

@@ -192,7 +192,8 @@ void PatientSession::make_stream_() {
                               .session_id = id_,
                               .time_s = b.peak_s,
                               .value_a = b.systolic_value,
-                              .value_b = b.diastolic_value});
+                              .value_b = b.diastolic_value,
+                              .value_c = b.mean_value});
   });
   stream_->on_alarm([this](const core::AlarmEvent& a) {
     publish_event_(FleetEvent{.kind = FleetEventKind::kAlarm,

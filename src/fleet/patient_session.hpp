@@ -84,6 +84,7 @@ struct FleetEvent {
   double time_s{0.0};   ///< session stream time (0 = monitoring start)
   double value_a{0.0};  ///< beat: systolic mmHg; alarm: confirming value; quality: SQI
   double value_b{0.0};  ///< beat: diastolic mmHg
+  double value_c{0.0};  ///< beat: mean mmHg over the beat (MAP)
 };
 
 struct SessionConfig {

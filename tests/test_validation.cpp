@@ -116,9 +116,9 @@ TEST(SessionValidatorTest, PairsEstimatesToCoveringTruthBeat) {
   std::vector<bio::BeatTruth> truth;
   for (int i = 0; i < 4; ++i) truth.push_back(make_truth(i * 1.0, 1.0, 120.0, 80.0));
   v.add_truth(truth);
-  v.add_estimate(0.5, 121.0, 81.0);   // beat 0
-  v.add_estimate(2.25, 124.0, 84.0);  // beat 2
-  v.add_estimate(9.0, 150.0, 90.0);   // after the last beat: unmatched
+  v.add_estimate(0.5, 121.0, 81.0, 95.0);   // beat 0
+  v.add_estimate(2.25, 124.0, 84.0, 97.0);  // beat 2
+  v.add_estimate(9.0, 150.0, 90.0, 110.0);  // after the last beat: unmatched
   const auto rec = v.finalize(7, "cohortX", "rest", 99, nullptr);
   EXPECT_EQ(rec.session_id, 7u);
   EXPECT_EQ(rec.truth_beats, 4u);
@@ -127,12 +127,10 @@ TEST(SessionValidatorTest, PairsEstimatesToCoveringTruthBeat) {
   EXPECT_EQ(rec.sys_error.count(), 2u);
   EXPECT_NEAR(rec.sys_error.mean_error_mmhg(), 2.5, 1e-12);
   EXPECT_NEAR(rec.dia_error.mean_error_mmhg(), 2.5, 1e-12);
-  // Estimated MAP uses the 1/3-pulse-pressure rule.
+  // MAP grades the measured beat mean as given, not a dia + pp/3 rule on
+  // the estimate: (95 − 93.33) and (97 − 93.33) average to +2.67.
   EXPECT_NEAR(rec.map_error.mean_error_mmhg(),
-              ((81.0 + 40.0 / 3.0) - (80.0 + 40.0 / 3.0) +
-               (84.0 + 40.0 / 3.0) - (80.0 + 40.0 / 3.0)) /
-                  2.0,
-              1e-9);
+              ((95.0 - (80.0 + 40.0 / 3.0)) + (97.0 - (80.0 + 40.0 / 3.0))) / 2.0, 1e-9);
   EXPECT_NEAR(rec.duration_s, 4.0, 1e-12);
   EXPECT_FALSE(rec.transient.valid);
 }
@@ -146,8 +144,8 @@ TEST(SessionValidatorTest, ClockOffsetAlignsTruth) {
   std::vector<bio::BeatTruth> plain;
   for (int i = 0; i < 3; ++i) plain.push_back(make_truth(0.0 + i, 1.0, 120.0, 80.0));
   b.add_truth(plain);
-  a.add_estimate(1.5, 122.0, 82.0);
-  b.add_estimate(1.5, 122.0, 82.0);
+  a.add_estimate(1.5, 122.0, 82.0, 95.0);
+  b.add_estimate(1.5, 122.0, 82.0, 95.0);
   const auto ra = a.finalize(0, "", "", 0, nullptr);
   const auto rb = b.finalize(0, "", "", 0, nullptr);
   EXPECT_EQ(ra.matched_beats, rb.matched_beats);
@@ -216,7 +214,8 @@ SessionValidationRecord synthetic_record(std::uint32_t id, std::string cohort,
   for (int i = 0; i < 40; ++i) truth.push_back(make_truth(i * 1.0, 1.0, 120.0, 80.0));
   v.add_truth(truth);
   for (int i = 0; i < 40; ++i) {
-    v.add_estimate(i + 0.5, 120.0 + bias, 80.0 + bias * 0.5);
+    v.add_estimate(i + 0.5, 120.0 + bias, 80.0 + bias * 0.5,
+                   80.0 + 40.0 / 3.0 + bias * 0.75);
   }
   return v.finalize(id, std::move(cohort), "rest", id, nullptr);
 }
@@ -271,6 +270,36 @@ TEST(ValidationJsonl, ByteStableAndShaped) {
   EXPECT_EQ(text.find("\"transient\""), std::string::npos);
   // Every line is newline-terminated (5 lines: 2 sessions, 2 cohorts, 1 fleet).
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 5);
+}
+
+TEST(ValidationJsonl, RejectedSessionIsCountedButNotGraded) {
+  std::vector<SessionValidationRecord> records;
+  records.push_back(synthetic_record(0, "old", 2.0));
+  SessionValidationRecord rejected;
+  rejected.session_id = 1;
+  rejected.cohort = "old";
+  rejected.scenario = "arrhythmia";
+  rejected.admitted = false;
+  rejected.rejection = "no usable pulse";
+  records.push_back(rejected);
+
+  const auto cohorts = aggregate_by_cohort(records);
+  ASSERT_EQ(cohorts.size(), 1u);
+  EXPECT_EQ(cohorts[0].sessions, 2u);
+  EXPECT_EQ(cohorts[0].rejected_sessions, 1u);
+  EXPECT_EQ(cohorts[0].aami_pass_sessions, 1u);
+  EXPECT_EQ(cohorts[0].sys_error.count(), 40u);
+
+  std::ostringstream os;
+  export_validation_jsonl(records, os);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("\"id\":1,\"cohort\":\"old\",\"scenario\":\"arrhythmia\",\"seed\":0,"
+                      "\"admitted\":false,\"reason\":\"no usable pulse\"}\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\"cohort\":\"old\",\"sessions\":2,\"aami_pass\":1,\"rejected\":1,"),
+            std::string::npos);
+  EXPECT_NE(text.find("\"validation_fleet\",\"sessions\":2,\"aami_pass\":1,\"rejected\":1,"),
+            std::string::npos);
 }
 
 }  // namespace
