@@ -32,7 +32,9 @@ class ArtifactInjector {
  public:
   explicit ArtifactInjector(const ArtifactConfig& config);
 
-  /// Artefact value to add at the next sample (advance by dt).
+  /// Artefact value to add at the next sample (advance by dt). Exact for any
+  /// dt: wander variance scales with dt, and every spike that arrives inside
+  /// the step is applied, decayed from its own arrival time.
   [[nodiscard]] double next(double dt_s);
 
   /// Applies artefacts to a whole record in place at the given rate.
@@ -41,13 +43,15 @@ class ArtifactInjector {
   /// Number of spikes injected so far.
   [[nodiscard]] std::size_t spike_count() const noexcept { return spike_count_; }
 
-  /// Checkpointing: Rng stream, wander/spike state and spike count.
+  /// Checkpointing: wander/noise and spike Rng streams, wander/spike state
+  /// and spike count.
   void serialize(CheckpointWriter& out) const;
   void restore(CheckpointReader& in);
 
  private:
   ArtifactConfig config_;
-  Rng rng_;
+  Rng rng_;        ///< wander and contact noise: drawn every step
+  Rng spike_rng_;  ///< spike arrivals, signs and amplitudes: drawn per spike
   double wander_mmhg_{0.0};
   double spike_level_mmhg_{0.0};
   double next_spike_in_s_{0.0};

@@ -8,9 +8,21 @@
 #include "src/common/units.hpp"
 
 namespace tono::bio {
+namespace {
+
+/// Points per beat at which close_out_beat evaluates the waveform for its
+/// truth: 0.8 ms apart at 72 bpm, so the grid maximum sits within about
+/// 0.001 mmHg of the continuous systolic peak. The grid starts on the onset
+/// itself, where the foot of the next upstroke can be the beat's minimum.
+constexpr int kTruthGridPoints = 1024;
+
+}  // namespace
 
 ArterialPulseGenerator::ArterialPulseGenerator(const PulseConfig& config)
-    : config_(config), beat_(config.morphology), rng_(config.seed) {
+    : config_(config),
+      beat_(config.morphology),
+      rng_(config.seed),
+      drift_rng_(rng_.fork_named("drift")) {
   if (config_.systolic_mmhg <= config_.diastolic_mmhg) {
     throw std::invalid_argument{"ArterialPulseGenerator: systolic must exceed diastolic"};
   }
@@ -38,6 +50,12 @@ void ArterialPulseGenerator::start_new_beat(double onset_s) {
   }
   interval = std::max(interval, 0.3 * nominal);
   const double prev_interval = beat_interval_s_;
+  // Drift: advance the random walk over the whole span since the previous
+  // onset in one increment of variance drift² · span — exact for any span,
+  // so the walk seen at the onsets is the same however finely sample()
+  // stepped in between.
+  drift_mmhg_ += config_.drift_mmhg_per_sqrt_s * std::sqrt(onset_s - beat_start_s_) *
+                 drift_rng_.gaussian();
   beat_interval_s_ = interval;
   beat_start_s_ = onset_s;
 
@@ -55,25 +73,32 @@ void ArterialPulseGenerator::start_new_beat(double onset_s) {
   }
   beat_dia_mmhg_ = config_.diastolic_mmhg + drift_mmhg_;
   beat_sys_mmhg_ = beat_dia_mmhg_ + pp;
+}
 
-  cur_min_ = 1e9;
-  cur_max_ = -1e9;
-  cur_sum_ = 0.0;
-  cur_n_ = 0;
+double ArterialPulseGenerator::pressure_at(double t_s) const noexcept {
+  const double phase = (t_s - beat_start_s_) / beat_interval_s_;
+  const double shape = beat_.value(phase);
+  const double resp_baseline =
+      config_.respiration_baseline_mmhg *
+      std::sin(units::two_pi * config_.respiration_freq_hz * t_s);
+  return beat_dia_mmhg_ + (beat_sys_mmhg_ - beat_dia_mmhg_) * shape + resp_baseline;
 }
 
 void ArterialPulseGenerator::close_out_beat() {
-  if (cur_n_ > 0) {
-    push_truth(BeatTruth{beat_start_s_, beat_interval_s_, cur_max_, cur_min_,
-                         cur_sum_ / static_cast<double>(cur_n_)});
-  } else {
-    // No samples landed inside this beat (dt spanned it entirely). It still
-    // happened: record the setpoint truth so per-beat ground truth stays
-    // contiguous instead of silently merging skipped beats into neighbours.
-    const double pp = beat_sys_mmhg_ - beat_dia_mmhg_;
-    push_truth(BeatTruth{beat_start_s_, beat_interval_s_, beat_sys_mmhg_, beat_dia_mmhg_,
-                         beat_dia_mmhg_ + pp / 3.0});
+  // Truth comes from the waveform itself on a fixed grid over the beat, not
+  // from the caller's samples: every beat gets the same truth however
+  // coarsely or finely sample() stepped through it (even not at all).
+  double lo = pressure_at(beat_start_s_);
+  double hi = lo;
+  double sum = lo;
+  for (int k = 1; k < kTruthGridPoints; ++k) {
+    const double p =
+        pressure_at(beat_start_s_ + beat_interval_s_ * k / kTruthGridPoints);
+    lo = std::min(lo, p);
+    hi = std::max(hi, p);
+    sum += p;
   }
+  push_truth(BeatTruth{beat_start_s_, beat_interval_s_, hi, lo, sum / kTruthGridPoints});
 }
 
 void ArterialPulseGenerator::push_truth(const BeatTruth& beat) {
@@ -103,29 +128,13 @@ double ArterialPulseGenerator::sample(double dt_s) {
   if (dt_s <= 0.0) throw std::invalid_argument{"ArterialPulseGenerator: dt must be > 0"};
   time_s_ += dt_s;
 
-  // Drift as a random walk, scaled with sqrt(dt).
-  drift_mmhg_ += config_.drift_mmhg_per_sqrt_s * std::sqrt(dt_s) * rng_.gaussian();
-
   // Close out *every* beat the step crossed — a dt spanning several beat
   // intervals must emit each beat's truth, not merge them into one.
   while (time_s_ - beat_start_s_ >= beat_interval_s_) {
     close_out_beat();
     start_new_beat(beat_start_s_ + beat_interval_s_);
   }
-
-  const double phase = (time_s_ - beat_start_s_) / beat_interval_s_;
-  const double shape = beat_.value(phase);
-  const double resp_baseline =
-      config_.respiration_baseline_mmhg *
-      std::sin(units::two_pi * config_.respiration_freq_hz * time_s_);
-  const double p =
-      beat_dia_mmhg_ + (beat_sys_mmhg_ - beat_dia_mmhg_) * shape + resp_baseline;
-
-  cur_min_ = std::min(cur_min_, p);
-  cur_max_ = std::max(cur_max_, p);
-  cur_sum_ += p;
-  ++cur_n_;
-  return p;
+  return pressure_at(time_s_);
 }
 
 std::vector<double> ArterialPulseGenerator::generate(double sample_rate_hz, std::size_t n) {
@@ -210,16 +219,13 @@ void ArterialPulseGenerator::serialize(CheckpointWriter& out) const {
   out.f64(config_.diastolic_mmhg);
   out.f64(config_.heart_rate_bpm);
   rng_.serialize(out);
+  drift_rng_.serialize(out);
   out.f64(time_s_);
   out.f64(beat_start_s_);
   out.f64(beat_interval_s_);
   out.f64(beat_sys_mmhg_);
   out.f64(beat_dia_mmhg_);
   out.f64(drift_mmhg_);
-  out.f64(cur_min_);
-  out.f64(cur_max_);
-  out.f64(cur_sum_);
-  out.size(cur_n_);
   out.u64(beats_completed_);
   out.u64(truth_dropped_);
   out.f64(truth_sum_sys_);
@@ -240,16 +246,13 @@ void ArterialPulseGenerator::restore(CheckpointReader& in) {
   config_.diastolic_mmhg = in.f64();
   config_.heart_rate_bpm = in.f64();
   rng_.restore(in);
+  drift_rng_.restore(in);
   time_s_ = in.f64();
   beat_start_s_ = in.f64();
   beat_interval_s_ = in.f64();
   beat_sys_mmhg_ = in.f64();
   beat_dia_mmhg_ = in.f64();
   drift_mmhg_ = in.f64();
-  cur_min_ = in.f64();
-  cur_max_ = in.f64();
-  cur_sum_ = in.f64();
-  cur_n_ = in.size();
   beats_completed_ = in.u64();
   truth_dropped_ = in.u64();
   truth_sum_sys_ = in.f64();

@@ -9,7 +9,14 @@
 //     (respiratory sinus arrhythmia on the interval as well),
 //   * slow setpoint drift of systolic/diastolic pressure.
 // Ground truth (beat onsets, per-beat systolic/diastolic/MAP) is recorded as
-// the waveform is generated so benches can compute estimation error.
+// each beat completes so benches can compute estimation error.
+//
+// Every step is exact in dt: sample(dt) may be called at the modulator clock
+// or once per output frame and produces the same beats and the same truth.
+// Beat-schedule draws happen once per beat, the slow waves are evaluated at
+// the beat onset, the drift random walk has its own stream and advances once
+// per beat over the whole inter-onset span, and a beat's truth is taken from
+// the waveform on a fixed grid over the beat, not from the caller's samples.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +42,9 @@ struct PulseConfig {
   double respiration_pp_depth{0.05};
   /// Respiratory sinus arrhythmia: interval modulation depth (fraction).
   double rsa_depth{0.03};
-  /// Slow random-walk drift of the pressure setpoints [mmHg/√s].
+  /// Slow random-walk drift of the pressure setpoints [mmHg/√s]: a Brownian
+  /// walk with variance drift² · t, observed at each beat onset (the only
+  /// place it enters the waveform).
   double drift_mmhg_per_sqrt_s{0.15};
   /// Atrial-fibrillation-like rhythm: beat intervals drawn with this extra
   /// uniform spread (fraction of the interval; 0 = regular rhythm) and
@@ -74,7 +83,8 @@ class ArterialPulseGenerator {
  public:
   explicit ArterialPulseGenerator(const PulseConfig& config);
 
-  /// Advances time by dt and returns the arterial pressure [mmHg].
+  /// Advances time by dt and returns the arterial pressure [mmHg]. Any dt
+  /// gives the same beats and beat truth.
   [[nodiscard]] double sample(double dt_s);
 
   /// Retargets the physiological setpoints at runtime (takes effect from
@@ -105,34 +115,36 @@ class ArterialPulseGenerator {
   [[nodiscard]] double mean_diastolic_mmhg() const noexcept;
 
   [[nodiscard]] double time_s() const noexcept { return time_s_; }
+  /// Setpoint drift [mmHg] as of the current beat's onset.
+  [[nodiscard]] double drift_mmhg() const noexcept { return drift_mmhg_; }
+  /// Onset of the current beat [s] — the time the drift was last advanced to.
+  [[nodiscard]] double beat_onset_s() const noexcept { return beat_start_s_; }
   [[nodiscard]] const PulseConfig& config() const noexcept { return config_; }
 
-  /// Checkpointing: Rng stream, beat/clock state, setpoints (which
-  /// set_targets can retarget at runtime), drift, the current beat's truth
-  /// accumulators, whole-session truth counters and the bounded retained
-  /// truth window (so checkpoints stay O(truth_capacity), not O(runtime)).
+  /// Checkpointing: beat-schedule and drift Rng streams, beat/clock state,
+  /// setpoints (which set_targets can retarget at runtime), drift,
+  /// whole-session truth counters and the bounded retained truth window (so
+  /// checkpoints stay O(truth_capacity), not O(runtime)).
   void serialize(CheckpointWriter& out) const;
   void restore(CheckpointReader& in);
 
  private:
   void start_new_beat(double onset_s);
+  /// Arterial pressure at time t inside the current beat.
+  [[nodiscard]] double pressure_at(double t_s) const noexcept;
   void close_out_beat();
   void push_truth(const BeatTruth& beat);
 
   PulseConfig config_;
   BeatTemplate beat_;
-  Rng rng_;
+  Rng rng_;        ///< beat schedule: jitter and AF spread, one set of draws per beat
+  Rng drift_rng_;  ///< setpoint drift: one draw per beat onset
   double time_s_{0.0};
   double beat_start_s_{0.0};
   double beat_interval_s_{0.8};
   double beat_sys_mmhg_{120.0};
   double beat_dia_mmhg_{80.0};
   double drift_mmhg_{0.0};
-  // accumulators for the current beat's truth
-  double cur_min_{1e9};
-  double cur_max_{-1e9};
-  double cur_sum_{0.0};
-  std::size_t cur_n_{0};
   // Running whole-session aggregates, independent of the bounded window.
   std::uint64_t beats_completed_{0};
   std::uint64_t truth_dropped_{0};

@@ -74,19 +74,26 @@ void BloodPressureMonitor::stream_over_link_(
 }
 
 void BloodPressureMonitor::advance_to(double t_s) {
-  const double dt = 1.0 / chip_.modulator.sampling_rate_hz;
   if (wrist_.scenario && t_s - last_scenario_apply_s_ > 0.1) {
     wrist_.scenario->apply(*pulse_, t_s);
     last_scenario_apply_s_ = t_s;
   }
-  while (sim_time_s_ + dt * 0.5 < t_s) {
+  // One physiology step over the whole gap since the last read, so the
+  // physiology runs at the rate the field is read: once per modulator clock
+  // for per-clock acquisition, once per output frame for block acquisition.
+  // Every stage is exact in dt. Reads less than half a clock apart (several
+  // elements sampled at one instant) share a step.
+  const double dt = t_s - sim_time_s_;
+  if (dt > 0.5 / chip_.modulator.sampling_rate_hz) {
     arterial_mmhg_ = pulse_->sample(dt);
     if (artifacts_) artifact_mmhg_ = artifacts_->next(dt);
-    if (sim_time_s_ < kMapReferenceFreezeS) {
-      const double alpha = dt / kMapEmaTauS;
+    // The EMA adapts only over the part of the step before the freeze.
+    const double adapt_s = std::min(dt, kMapReferenceFreezeS - sim_time_s_);
+    if (adapt_s > 0.0) {
+      const double alpha = 1.0 - std::exp(-adapt_s / kMapEmaTauS);
       map_estimate_mmhg_ += alpha * (arterial_mmhg_ - map_estimate_mmhg_);
     }
-    sim_time_s_ += dt;
+    sim_time_s_ = t_s;
   }
   if (wrist_.enable_thermal_drift) {
     const double warm = 1.0 - std::exp(-t_s / wrist_.thermal_tau_s);

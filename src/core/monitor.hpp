@@ -133,6 +133,10 @@ class BloodPressureMonitor {
   /// Mutable access so truth consumers can drain the bounded beat-truth log.
   [[nodiscard]] bio::ArterialPulseGenerator& pulse() noexcept { return *pulse_; }
   [[nodiscard]] const WristModel& wrist() const noexcept { return wrist_; }
+  /// MAP reference the tissue model splits the arterial signal around: an
+  /// EMA of arterial pressure that adapts over the first 10 s of physiology
+  /// and then stays frozen.
+  [[nodiscard]] double map_reference_mmhg() const noexcept { return map_estimate_mmhg_; }
 
   /// Checkpointing: the full session state — acquisition pipeline, patient
   /// physiology, artefacts, calibration, cached physiological state, the

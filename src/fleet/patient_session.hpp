@@ -43,7 +43,7 @@ namespace tono::fleet {
 /// Schema version of the PatientSession checkpoint blob. Bump whenever the
 /// serialized layout changes; CheckpointReader::require_version turns a
 /// stale blob into a loud CheckpointError instead of a silent misparse.
-inline constexpr std::uint32_t kSessionCheckpointVersion = 2;
+inline constexpr std::uint32_t kSessionCheckpointVersion = 3;
 
 /// Lifecycle of a session inside the scheduler (docs/FLEET.md):
 ///

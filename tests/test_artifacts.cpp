@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -108,6 +109,40 @@ TEST(ArtifactInjector, RejectsBadInputs) {
   EXPECT_THROW((void)ok.next(0.0), std::invalid_argument);
   std::vector<double> xs(10, 0.0);
   EXPECT_THROW(ok.apply(xs, 0.0), std::invalid_argument);
+}
+
+TEST(ArtifactInjector, SpikeRateHoldsAtLargeDt) {
+  // 2 s steps at 1 spike/s: a step must apply every arrival inside it, not
+  // at most one (which would cap the count at 1000). The Poisson count over
+  // 2000 s has SD ≈ 45, so ±200 is a 4.5σ band.
+  ArtifactConfig c = quiet();
+  c.spike_rate_hz = 1.0;
+  ArtifactInjector inj{c};
+  for (int i = 0; i < 1000; ++i) (void)inj.next(2.0);
+  EXPECT_NEAR(static_cast<double>(inj.spike_count()), 2000.0, 200.0);
+}
+
+TEST(ArtifactInjector, SpikeTrainAndDecayIndependentOfDt) {
+  // With wander and contact noise off the value is the spike level alone:
+  // Σ A_k·exp(−(t − t_k)/τ) over arrivals t_k ≤ t. Arrivals come from their
+  // own stream and each decays from its own arrival time, so 0.25 s steps
+  // and 1 ms steps see the same spikes and the same level at common times.
+  ArtifactConfig c = quiet();
+  c.spike_rate_hz = 4.0;
+  c.spike_decay_s = 0.15;
+  c.spike_amplitude_mmhg = 15.0;
+  ArtifactInjector fine{c};
+  ArtifactInjector coarse{c};
+  double worst = 0.0;
+  for (int k = 0; k < 400; ++k) {  // 100 s
+    double fine_value = 0.0;
+    for (int i = 0; i < 250; ++i) fine_value = fine.next(1e-3);
+    const double coarse_value = coarse.next(0.25);
+    worst = std::max(worst, std::abs(fine_value - coarse_value));
+  }
+  EXPECT_EQ(fine.spike_count(), coarse.spike_count());
+  EXPECT_GT(coarse.spike_count(), 300u);
+  EXPECT_LT(worst, 1e-9) << "mmHg";
 }
 
 }  // namespace

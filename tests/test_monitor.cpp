@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+
+#include "src/common/units.hpp"
 
 namespace tono::core {
 namespace {
@@ -124,6 +127,37 @@ TEST(Monitor, MonitorWithoutCalibrationStaysRaw) {
   const auto rep = mon.monitor(5.0);
   // Uncalibrated values are normalized ADC output, far from mmHg scale.
   for (double v : rep.waveform_mmhg) EXPECT_LT(std::abs(v), 1.0);
+}
+
+TEST(Monitor, MapReferenceAgreesAtClockAndFrameRate) {
+  // Per-clock reads (acquire) step the physiology 128 times per frame,
+  // per-frame reads (acquire_block) once. Both walk the same pipeline clock;
+  // after the 10 s adaptation window the frozen MAP references must agree,
+  // and so must the contact pressures read at the same instants.
+  BloodPressureMonitor per_clock{ChipConfig::paper_chip(), WristModel{}};
+  BloodPressureMonitor per_frame{ChipConfig::paper_chip(), WristModel{}};
+  const ContactField fine = per_clock.contact_field();
+  const ContactField coarse = per_frame.contact_field();
+  const double dt = 1.0 / ChipConfig::paper_chip().modulator.sampling_rate_hz;
+  constexpr std::size_t kClocksPerFrame = 128;
+  double t = 0.0;
+  double worst_pa = 0.0;
+  for (std::size_t i = 0; i < 12 * 128000; ++i) {
+    const double fine_pa = fine(0.0, 0.0, t);
+    if (i % kClocksPerFrame == 0) {
+      const double coarse_pa = coarse(0.0, 0.0, t);
+      if (t > 10.0) worst_pa = std::max(worst_pa, std::abs(fine_pa - coarse_pa));
+    }
+    t += dt;
+  }
+  EXPECT_NEAR(per_clock.map_reference_mmhg(), per_frame.map_reference_mmhg(), 0.1);
+  // The tissue gain is below 1, so a < 0.1 mmHg reference gap bounds the
+  // contact-pressure gap too.
+  EXPECT_LT(worst_pa, units::mmhg_to_pa(0.1));
+  // The reference froze at 10 s: later physiology leaves it alone.
+  const double frozen = per_frame.map_reference_mmhg();
+  for (int k = 1; k <= 1000; ++k) (void)coarse(0.0, 0.0, t + 1e-3 * k);
+  EXPECT_EQ(per_frame.map_reference_mmhg(), frozen);
 }
 
 }  // namespace

@@ -180,9 +180,8 @@ TEST(PulseGenerator, LargeDtClosesEveryElapsedBeat) {
   ASSERT_GE(truth.size(), 25u);
   for (std::size_t i = 1; i < truth.size(); ++i) {
     EXPECT_NEAR(truth[i].onset_s, truth[i - 1].onset_s + truth[i - 1].interval_s, 1e-9);
-    // Zero-sample beats carry setpoint truth; one-sample beats have equal
-    // empirical extrema — either way the pair stays ordered.
-    EXPECT_GE(truth[i].systolic_mmhg, truth[i].diastolic_mmhg);
+    // Beats no sample landed in still get their full waveform truth.
+    EXPECT_GT(truth[i].systolic_mmhg, truth[i].diastolic_mmhg + 10.0);
   }
 }
 
@@ -281,6 +280,74 @@ TEST(PulseGenerator, BoundedLogCheckpointRoundTripIsBitIdentical) {
     ASSERT_EQ(a.sample(0.01), b.sample(0.01)) << "sample " << i;
   }
   EXPECT_EQ(a.mean_systolic_mmhg(), b.mean_systolic_mmhg());
+}
+
+// --- The generator is stepped once per modulator clock by per-clock reads and
+// once per output frame by block reads; every step must be exact in dt.
+
+constexpr double kClockDt = 1.0 / 128000.0;  // the paper chip's modulator clock
+constexpr double kFrameDt = 1e-3;            // one 1 kS/s output frame
+
+std::vector<BeatTruth> run_truth(PulseConfig cfg, double dt_s, std::size_t steps) {
+  cfg.truth_capacity = 0;
+  ArterialPulseGenerator gen{cfg};
+  for (std::size_t i = 0; i < steps; ++i) (void)gen.sample(dt_s);
+  return gen.drain_truth();
+}
+
+void expect_same_beats_at_clock_and_frame_rate(const PulseConfig& cfg) {
+  // 62 s: 7 936 000 clock steps against 62 000 frame steps.
+  const auto fine = run_truth(cfg, kClockDt, 7'936'000);
+  const auto coarse = run_truth(cfg, kFrameDt, 62'000);
+  ASSERT_GE(fine.size(), 60u);
+  // The last beat may close on either side of the final step.
+  ASSERT_LE(std::max(fine.size(), coarse.size()) - std::min(fine.size(), coarse.size()), 1u);
+  const std::size_t n = std::min(fine.size(), coarse.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    // The schedule (jitter, AF spread, onsets, intervals) is bit-identical,
+    // and so is the truth: it is read off the waveform on a fixed per-beat
+    // grid, not from the caller's samples (well inside a 0.05 mmHg bound).
+    ASSERT_EQ(fine[i].onset_s, coarse[i].onset_s) << "beat " << i;
+    ASSERT_EQ(fine[i].interval_s, coarse[i].interval_s) << "beat " << i;
+    ASSERT_EQ(fine[i].systolic_mmhg, coarse[i].systolic_mmhg) << "beat " << i;
+    ASSERT_EQ(fine[i].diastolic_mmhg, coarse[i].diastolic_mmhg) << "beat " << i;
+    ASSERT_EQ(fine[i].map_mmhg, coarse[i].map_mmhg) << "beat " << i;
+  }
+}
+
+TEST(PulseGeneratorStep, NormalBeatsIdenticalAtClockAndFrameRate) {
+  expect_same_beats_at_clock_and_frame_rate(PatientPresets::normotensive());
+}
+
+TEST(PulseGeneratorStep, AtrialFibrillationBeatsIdenticalAtClockAndFrameRate) {
+  expect_same_beats_at_clock_and_frame_rate(PatientPresets::atrial_fibrillation());
+}
+
+TEST(PulseGeneratorStep, DriftVarianceIsExactAtBothRates) {
+  // The drift walk, observed at the current beat onset t, is N(0, c²·t)
+  // whatever dt stepped it there. Over 256 seeds the normalized value
+  // z = drift / (c·√t) has unit variance: the sample variance of 256 unit
+  // normals has SD √(2/255) ≈ 0.089, so ±0.3 is a 3.4σ band and the mean's
+  // SD is 1/16, so ±0.25 is 4σ. The seeds are fixed, so the test is
+  // deterministic.
+  constexpr int kSeeds = 256;
+  constexpr double kSeconds = 2.0;
+  PulseConfig cfg;
+  cfg.drift_mmhg_per_sqrt_s = 0.4;
+  std::vector<double> z;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    cfg.seed = static_cast<std::uint64_t>(seed);
+    ArterialPulseGenerator fine{cfg};
+    ArterialPulseGenerator coarse{cfg};
+    for (long i = 0; i < std::lround(kSeconds / kClockDt); ++i) (void)fine.sample(kClockDt);
+    for (long i = 0; i < std::lround(kSeconds / kFrameDt); ++i) (void)coarse.sample(kFrameDt);
+    ASSERT_EQ(fine.beat_onset_s(), coarse.beat_onset_s()) << "seed " << seed;
+    ASSERT_EQ(fine.drift_mmhg(), coarse.drift_mmhg()) << "seed " << seed;
+    ASSERT_GT(fine.beat_onset_s(), 1.0);
+    z.push_back(fine.drift_mmhg() / (cfg.drift_mmhg_per_sqrt_s * std::sqrt(fine.beat_onset_s())));
+  }
+  EXPECT_NEAR(mean(z), 0.0, 0.25);
+  EXPECT_NEAR(variance(z), 1.0, 0.3);
 }
 
 }  // namespace

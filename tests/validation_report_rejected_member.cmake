@@ -4,7 +4,7 @@
 # the fleet line counts it.
 #   cmake -DVALIDATION_REPORT=... -DOUTPUT=... -P validation_report_rejected_member.cmake
 execute_process(
-  COMMAND ${VALIDATION_REPORT} --seed 2 --population 6 --duration 30 --output ${OUTPUT}
+  COMMAND ${VALIDATION_REPORT} --seed 7 --population 6 --duration 30 --output ${OUTPUT}
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err TIMEOUT 300)
 if(NOT rc STREQUAL "0")
   message(FATAL_ERROR "validation_report exit status '${rc}', want 0: ${err}")
