@@ -183,12 +183,7 @@ int main(int argc, char** argv) {
   core::CohortValidation fleet_total;
   for (const auto& cohort : aggregator.validation_by_cohort()) {
     print_grade_row(std::cout, "cohort " + cohort.cohort, cohort, min_pairs);
-    fleet_total.sessions += cohort.sessions;
-    fleet_total.aami_pass_sessions += cohort.aami_pass_sessions;
-    fleet_total.rejected_sessions += cohort.rejected_sessions;
-    fleet_total.sys_error.merge(cohort.sys_error);
-    fleet_total.dia_error.merge(cohort.dia_error);
-    fleet_total.map_error.merge(cohort.map_error);
+    fleet_total.merge(cohort);
   }
   print_grade_row(std::cout, "fleet", fleet_total, min_pairs);
   return 0;

@@ -284,6 +284,15 @@ SessionValidationRecord SessionValidator::finalize(std::uint32_t session_id,
   return rec;
 }
 
+void CohortValidation::merge(const CohortValidation& other) noexcept {
+  sessions += other.sessions;
+  aami_pass_sessions += other.aami_pass_sessions;
+  rejected_sessions += other.rejected_sessions;
+  sys_error.merge(other.sys_error);
+  dia_error.merge(other.dia_error);
+  map_error.merge(other.map_error);
+}
+
 std::vector<CohortValidation> aggregate_by_cohort(
     std::span<const SessionValidationRecord> records, std::size_t min_pairs) {
   std::map<std::string, CohortValidation> by_cohort;
@@ -354,12 +363,7 @@ void export_validation_jsonl(std::span<const SessionValidationRecord> records,
     export_error_block(os, "dia", c.dia_error, min_pairs);
     export_error_block(os, "map", c.map_error, min_pairs);
     os << "}\n";
-    fleet.sessions += c.sessions;
-    fleet.aami_pass_sessions += c.aami_pass_sessions;
-    fleet.rejected_sessions += c.rejected_sessions;
-    fleet.sys_error.merge(c.sys_error);
-    fleet.dia_error.merge(c.dia_error);
-    fleet.map_error.merge(c.map_error);
+    fleet.merge(c);
   }
   os << "{\"type\":\"validation_fleet\",\"sessions\":" << fleet.sessions
      << ",\"aami_pass\":" << fleet.aami_pass_sessions

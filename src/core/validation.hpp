@@ -188,6 +188,9 @@ struct CohortValidation {
   ErrorAccumulator sys_error;
   ErrorAccumulator dia_error;
   ErrorAccumulator map_error;
+
+  /// Adds another cohort's counts and accumulators (the fleet roll-up).
+  void merge(const CohortValidation& other) noexcept;
 };
 
 /// Groups records by cohort (sorted by cohort name) and merges their
